@@ -53,11 +53,11 @@ def load_program(program: Program,
                  heap_base: int = DEFAULT_HEAP_BASE,
                  record_writes: bool = False,
                  entry_name: str = "main",
-                 fast_path=None) -> LoadedProgram:
+                 fast_path: bool = True) -> LoadedProgram:
     """Instantiate a CPU running *program*, stopped at the startup stub.
 
-    *fast_path* picks the execution engine (None = the CPU default,
-    i.e. block fast path unless ``REPRO_FAST_PATH=0``).
+    *fast_path* picks the execution engine: compiled basic blocks, or
+    (False) the per-step loop the differential tests use as reference.
     """
     code = CodeSpace(base=program.text_base)
     code.insns.extend(program.insns)

@@ -61,9 +61,6 @@ def _add_run_parser(subparsers) -> None:
                         help="also monitor read instructions (§5)")
     parser.add_argument("--stats", action="store_true",
                         help="print cycle/instruction statistics")
-    parser.add_argument("--no-fast-path", action="store_true",
-                        help="force the per-instruction interpreter loop "
-                             "(disable the basic-block fast path)")
 
 
 def _add_debug_parser(subparsers) -> None:
@@ -174,9 +171,6 @@ def _add_record_parser(subparsers) -> None:
                         metavar="BYTES",
                         help="retention: bound the store's payload "
                              "bytes (LRU eviction)")
-    parser.add_argument("--no-fast-path", action="store_true",
-                        help="force the per-instruction interpreter loop "
-                             "(traces are byte-identical either way)")
 
 
 def _add_replay_parser(subparsers) -> None:
@@ -235,7 +229,7 @@ _EVAL_COMMANDS = {
     "space": ("repro.eval.space", 1.0),
     "ablations": ("repro.eval.ablations", 0.5),
     "watchkinds": ("repro.eval.watchkinds", 0.5),
-    "elim": ("repro.eval.analyze", 0.3),
+    "elim": ("repro.eval.elim", 0.3),
 }
 
 
@@ -275,9 +269,7 @@ def _command_run(args) -> int:
     debugger = Debugger.for_source(source, lang=args.lang,
                                    strategy=args.strategy,
                                    optimize=optimize,
-                                   monitor_reads=args.monitor_reads,
-                                   fast_path=(False if args.no_fast_path
-                                              else None))
+                                   monitor_reads=args.monitor_reads)
     requested = ([(expr, None, None) for expr in args.watch]
                  + [(expr, pred, None) for expr, pred in args.cond]
                  + [(expr, pred, edge) for expr, pred, edge in args.trans])
@@ -371,11 +363,9 @@ def _record_run(args):
     else:
         raise SystemExit("error: record needs a FILE or --workload NAME")
     optimize = None if args.optimize == "none" else args.optimize
-    fast_path = False if getattr(args, "no_fast_path", False) else None
     debugger = Debugger.for_source(source, lang=lang,
                                    strategy=args.strategy,
-                                   optimize=optimize,
-                                   fast_path=fast_path)
+                                   optimize=optimize)
     for expr in args.watch:
         debugger.watch(expr, action="log")
     recorder = debugger.record(stride=args.stride)

@@ -163,21 +163,19 @@ class Debugger:
                    strategy: str = "BitmapInlineRegisters",
                    optimize: Optional[str] = "full",
                    monitor_reads: bool = False,
-                   faults=None, fast_path=None) -> "Debugger":
+                   faults=None) -> "Debugger":
         """Compile, instrument and attach a debugger to mini-C source.
 
         *optimize* is any :func:`~repro.optimizer.pipeline.build_plan`
         mode (``"sym"``, ``"full"``, ``"ipa"``) or None; *faults*
-        reaches the plan build (e.g. the ``analysis.unsound`` point);
-        *fast_path* picks the execution engine (None = CPU default).
+        reaches the plan build (e.g. the ``analysis.unsound`` point).
         """
         asm = compile_source(c_source, lang=lang)
         plan: Optional[OptimizationPlan] = None
         if optimize:
             _stmts, plan = build_plan(asm, mode=optimize, faults=faults)
         session = DebugSession.from_asm(asm, strategy=strategy, plan=plan,
-                                        monitor_reads=monitor_reads,
-                                        fast_path=fast_path)
+                                        monitor_reads=monitor_reads)
         return cls(session)
 
     # -- name resolution -------------------------------------------------------

@@ -14,6 +14,7 @@ they stay distinguishable through averaging and formatting.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional
 
 from repro.core.layout import MonitorLayout
@@ -187,3 +188,28 @@ def average(values: List[float]) -> float:
     if any(truncated(v) for v in values):
         return Partial(mean)
     return mean
+
+
+def header_lines(columns: List[str], width: int) -> List[str]:
+    """Header lines of a table with an 18-wide ``Program`` column and
+    *width*-wide cells.  A name longer than ``width - 1`` wraps at its
+    CamelCase or ``_`` word breaks onto further lines, so every heading
+    stays inside its column with a space before it."""
+    wrapped = [_wrap(name, width - 1) for name in columns]
+    lines = []
+    for row in range(max(len(words) for words in wrapped)):
+        cells = ["%-18s" % ("Program" if row == 0 else "")]
+        cells += ["%*s" % (width, words[row] if row < len(words) else "")
+                  for words in wrapped]
+        lines.append("".join(cells).rstrip())
+    return lines
+
+
+def _wrap(name: str, limit: int) -> List[str]:
+    lines = []
+    while len(name) > limit:
+        cut = [match.start() for match in
+               re.finditer(r"(?<=[a-z0-9])[A-Z]|_", name[:limit + 1])][-1]
+        lines.append(name[:cut])
+        name = name[cut:].lstrip("_")
+    return lines + [name]

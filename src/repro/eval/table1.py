@@ -9,7 +9,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional
 
-from repro.eval.overhead import WorkloadBench, average, truncated
+from repro.eval.overhead import WorkloadBench, average, header_lines, \
+    truncated
 from repro.eval.paper_data import TABLE1, TABLE1_AVERAGES, TABLE1_COLUMNS
 from repro.workloads import C_WORKLOADS, F_WORKLOADS, WORKLOAD_ORDER, \
     WORKLOADS
@@ -72,8 +73,7 @@ def _cell(value: float) -> str:
 def format_table(results: Dict[str, Dict[str, float]],
                  with_paper: bool = True) -> str:
     columns = TABLE1_COLUMNS
-    header = ["%-18s" % "Program"] + ["%14s" % c[:14] for c in columns]
-    lines = ["".join(header), "-" * (18 + 14 * len(columns))]
+    lines = header_lines(columns, 14) + ["-" * (18 + 14 * len(columns))]
     any_truncated = False
     for name in results:
         lang = WORKLOADS[name].lang

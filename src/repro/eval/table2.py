@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.eval.overhead import WorkloadBench, average
+from repro.eval.overhead import WorkloadBench, average, header_lines
 from repro.eval.paper_data import TABLE2_AVERAGES
 from repro.instrument.plan import (ELIM_LOOP_INVARIANT, ELIM_RANGE,
                                    ELIM_SYMBOL)
@@ -98,14 +98,14 @@ def summarize(results: Dict[str, Dict[str, float]]
 
 def format_table(results: Dict[str, Dict[str, float]],
                  with_paper: bool = True) -> str:
-    header = ("%-18s" % "Program") + "".join("%11s" % c for c in COLUMNS)
-    lines = [header, "-" * len(header)]
+    rule = "-" * (18 + 11 * len(COLUMNS))
+    lines = header_lines(COLUMNS, 11) + [rule]
     for name, row in results.items():
         lang = WORKLOADS[name].lang
         cells = "(%s) %-14s" % (lang, name)
         cells += "".join("%10.1f%%" % row[c] for c in COLUMNS)
         lines.append(cells)
-    lines.append("-" * len(header))
+    lines.append(rule)
     labels = {"C": "C AVERAGE", "F": "FORTRAN AVERAGE",
               "overall": "OVERALL AVERAGE"}
     for group, row in summarize(results).items():

@@ -12,10 +12,9 @@ engine sits between MRS notifications and the debugger:
 
 Predicate evaluation happens in the host-level engine, not in
 simulated instructions, so the honest metric is wall-clock time of the
-driven debugger loop (the same chunked-stepping protocol
-``scripts/bench_replay.py`` uses), as overhead over a run with no
-watchpoint armed.  Simulated cycles would show all three kinds as
-identical.
+driven debugger loop (stepped to exit in fixed-size chunks), as
+overhead over a run with no watchpoint armed.  Simulated cycles would
+show all three kinds as identical.
 
 Run as ``python -m repro.eval.watchkinds [scale]``.
 """
@@ -29,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.debugger import Debugger
 from repro.workloads import WORKLOADS, workload_source
 
-#: (workload, watched expression) — same idiom as bench_replay:
-#: globals each workload is known to write throughout its run.
+#: (workload, watched expression): globals each workload is known to
+#: write throughout its run.
 TARGETS: List[Tuple[str, str]] = [
     ("023.eqntott", "__seed"),
     ("030.matrix300", "c[0]"),

@@ -10,7 +10,6 @@ measures with its nop-insertion experiment.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -173,7 +172,7 @@ class CPU:
     def __init__(self, code: CodeSpace, memory: Memory = None,
                  cache: DirectMappedCache = None,
                  costs: CostModel = DEFAULT_COSTS,
-                 fast_path: Optional[bool] = None):
+                 fast_path: bool = True):
         self.code = code
         self.mem = memory if memory is not None else Memory()
         self.cache = cache if cache is not None else DirectMappedCache()
@@ -205,11 +204,9 @@ class CPU:
         self._skip_slot = False
         #: run whole basic blocks through compiled handlers when no
         #: per-instruction instrumentation boundary is armed
-        #: (repro.machine.blocks).  REPRO_FAST_PATH=0 disables globally.
-        if fast_path is None:
-            fast_path = os.environ.get(
-                "REPRO_FAST_PATH", "1").lower() not in ("0", "false", "off")
-        self.fast_path = bool(fast_path)
+        #: (repro.machine.blocks); False keeps the per-step loop, the
+        #: reference the differential tests compare against.
+        self.fast_path = fast_path
         self._blocks = None
 
     # -- condition codes -----------------------------------------------
@@ -337,9 +334,12 @@ class CPU:
         insn_limit = watchdog.insn_limit
         cycle_limit = watchdog.cycle_limit
         trap_limit = watchdog.trap_limit
-        if self.fast_path and cycle_limit is _INFINITY \
-                and trap_limit is _INFINITY:
-            self._run_fast(watchdog, insn_limit)
+        if cycle_limit is _INFINITY and trap_limit is _INFINITY:
+            # the budget is checked after a retire, so even an empty
+            # one retires an instruction (a zero quota still progresses)
+            self._run_until(max(insn_limit, self.instructions + 1))
+            if self.instructions >= insn_limit:
+                watchdog.exhausted(self)
         else:
             # cycle/trap budgets can trip *inside* a block, so the
             # boundary must stay per-instruction: slow loop only
@@ -350,36 +350,6 @@ class CPU:
                         self.traps_taken >= trap_limit:
                     watchdog.exhausted(self)
         return self.exit_code if self.exit_code is not None else 0
-
-    def _run_fast(self, watchdog: Watchdog, insn_limit) -> None:
-        """Block-dispatch loop: compiled blocks where possible, exact
-        single steps everywhere else (armed fault handlers, pending
-        delayed branches, instruction-budget boundaries, trap sites)."""
-        blocks = self.block_cache()
-        cache = blocks.blocks
-        cache_get = cache.get
-        lookup = blocks.lookup
-        code = self.code
-        mem = self.mem
-        step = self.step
-        while self.running:
-            if self.npc == self.pc + 4 and mem.fault_handler is None:
-                if blocks.version != code.version:
-                    cache.clear()
-                    blocks.version = code.version
-                    blocks.invalidations += 1
-                block = cache_get(self.pc, _NO_BLOCK)
-                if block is _NO_BLOCK:
-                    block = lookup(self.pc)
-                if block is not None and \
-                        self.instructions + block.max_retire <= insn_limit:
-                    block.fn(self)
-                    if self.instructions >= insn_limit:
-                        watchdog.exhausted(self)
-                    continue
-            step()
-            if self.instructions >= insn_limit:
-                watchdog.exhausted(self)
 
     def run_steps(self, count: int) -> None:
         """Execute exactly *count* instructions (or until the program
@@ -392,10 +362,18 @@ class CPU:
         to :meth:`step`.
         """
         self.running = True
-        limit = self.instructions + count
+        self._run_until(self.instructions + count)
+
+    def _run_until(self, limit) -> None:
+        """Run until the program stops or *limit* instructions have
+        retired.  On the fast path this is the block-dispatch loop:
+        compiled blocks where possible, exact single steps everywhere
+        else (armed fault handlers, pending delayed branches, blocks
+        that could retire past *limit*, trap sites)."""
+        step = self.step
         if not self.fast_path:
             while self.running and self.instructions < limit:
-                self.step()
+                step()
             return
         blocks = self.block_cache()
         cache = blocks.blocks
@@ -403,7 +381,6 @@ class CPU:
         lookup = blocks.lookup
         code = self.code
         mem = self.mem
-        step = self.step
         while self.running and self.instructions < limit:
             if self.npc == self.pc + 4 and mem.fault_handler is None:
                 if blocks.version != code.version:

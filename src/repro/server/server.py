@@ -253,6 +253,12 @@ class DebugServer:
             return
         self.running = False
         self._stop.set()
+        # closing alone does not wake a thread blocked in accept() on
+        # Linux; shutting the listener down makes accept() fail at once
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

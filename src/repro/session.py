@@ -65,14 +65,12 @@ class DebugSession:
                  record_writes: bool = False,
                  monitor_reads: bool = False,
                  faults: Optional[FaultPlan] = None,
-                 mrs_class=MonitoredRegionService,
-                 fast_path=None) -> "DebugSession":
+                 mrs_class=MonitoredRegionService) -> "DebugSession":
         inst = instrument_source(asm_source, strategy, layout, plan,
                                  monitor_reads)
         program = inst.assemble()
         loaded = load_program(program, cache_bytes=cache_bytes, costs=costs,
-                              record_writes=record_writes,
-                              fast_path=fast_path)
+                              record_writes=record_writes)
         if faults is not None:
             mrs = mrs_class(loaded, inst, faults=faults)
             # arm the memory.write injection point only after loading,
@@ -131,8 +129,7 @@ def run_uninstrumented(asm_source: str,
                        record_writes: bool = False,
                        max_instructions: int = 400_000_000,
                        watchdog=None,
-                       on_limit: str = "raise",
-                       fast_path=None
+                       on_limit: str = "raise"
                        ) -> Tuple[Optional[int], LoadedProgram]:
     """Assemble and run *asm_source* without any checks (the baseline
     against which Table 1 / Table 2 overheads are computed).
@@ -145,7 +142,7 @@ def run_uninstrumented(asm_source: str,
 
     program = assemble(asm_source)
     loaded = load_program(program, cache_bytes=cache_bytes, costs=costs,
-                          record_writes=record_writes, fast_path=fast_path)
+                          record_writes=record_writes)
     try:
         exit_code = loaded.run(max_instructions=max_instructions,
                                watchdog=watchdog)

@@ -8,9 +8,8 @@ Subverbs (each printable as a table or ``--json``):
   merged into contiguous regions;
 * ``writes`` — write-pattern statistics per run: writes/kinstr,
   monitored-hit ratio, distinct words, per-word densities;
-* ``regress`` — overhead deltas between two runs of a workload (or
-  the newest stored run against a ``BENCH_*.json`` baseline), with a
-  ``--threshold`` beyond which the exit code is 1 — the CI gate;
+* ``regress`` — overhead deltas between two runs of a workload, with
+  a ``--threshold`` beyond which the exit code is 1;
 * ``provenance`` — last-write lookup across stored runs: the watch
   expression resolves through the workload registry (stored traces
   are self-describing, so no source file is needed for §6 workloads)
@@ -72,9 +71,6 @@ def add_analyze_parser(subparsers) -> None:
                          metavar=("BASE", "CAND"),
                          help="compare these run ids (default: the "
                               "two newest)")
-    regress.add_argument("--baseline", default=None, metavar="FILE",
-                         help="compare the newest run against a "
-                              "BENCH_*.json baseline instead")
     regress.add_argument("--threshold", type=float, default=10.0,
                          metavar="PCT")
 
@@ -172,47 +168,6 @@ def _resolve_region(store: TraceStore, args) -> tuple:
     return addr, size
 
 
-def _load_baseline(path: str, workload: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        bench = json.load(handle)
-    for entry in bench.get("workloads", []):
-        if entry.get("workload") == workload:
-            return entry
-    raise StoreError("baseline %s has no workload %r" % (path, workload),
-                     reason="unresolvable", workload=workload)
-
-
-def _regress_baseline(store: TraceStore, args) -> Dict[str, Any]:
-    """Newest stored run vs a BENCH_*.json row: throughput deltas."""
-    runs = store.runs(workload=args.workload)
-    if not runs:
-        raise StoreError("no stored runs for workload %r"
-                         % args.workload, reason="unknown_run",
-                         workload=args.workload)
-    candidate = runs[-1]
-    entry = _load_baseline(args.baseline, args.workload)
-    base_wall = entry.get("recorded_run_s") or entry.get("plain_run_s")
-    base_instr = entry.get("instructions")
-    base_rate = (base_instr / base_wall
-                 if base_wall and base_instr else None)
-    rate = candidate.instr_per_s
-    rate_delta = (round((rate - base_rate) / base_rate * 100.0, 2)
-                  if rate is not None and base_rate else None)
-    regressions = []
-    if rate_delta is not None and rate_delta < -args.threshold:
-        regressions.append("instr_per_s")
-    return {
-        "workload": args.workload,
-        "baseline_file": args.baseline,
-        "baseline_instr_per_s":
-            None if base_rate is None else round(base_rate),
-        "candidate": candidate.as_dict(),
-        "deltas_pct": {"instr_per_s": rate_delta},
-        "threshold_pct": args.threshold,
-        "regressions": regressions,
-    }
-
-
 def run_analyze(args) -> int:
     verb = getattr(args, "analyze_verb", None)
     if verb is None:
@@ -242,13 +197,10 @@ def run_analyze(args) -> int:
                           "distinct_words", "mean_writes_per_word",
                           "peak_word_writes"])
         if verb == "regress":
-            if args.baseline is not None:
-                report = _regress_baseline(store, args)
-            else:
-                run_a, run_b = args.runs or (None, None)
-                report = store.regress(args.workload, run_a=run_a,
-                                       run_b=run_b,
-                                       threshold_pct=args.threshold)
+            run_a, run_b = args.runs or (None, None)
+            report = store.regress(args.workload, run_a=run_a,
+                                   run_b=run_b,
+                                   threshold_pct=args.threshold)
             if args.json:
                 print(json.dumps(report, indent=2))
             else:
@@ -297,12 +249,7 @@ def _print_regress(report: Dict[str, Any]) -> None:
     candidate = report["candidate"]
     print("-- regress %s: candidate run %d"
           % (report["workload"], candidate["id"]))
-    if "baseline_file" in report:
-        print("   baseline: %s (%s instr/s)"
-              % (report["baseline_file"],
-                 report.get("baseline_instr_per_s")))
-    else:
-        print("   baseline: run %d" % report["baseline"]["id"])
+    print("   baseline: run %d" % report["baseline"]["id"])
     for metric, delta in sorted(report["deltas_pct"].items()):
         flag = "  <-- REGRESSION" if metric in report["regressions"] \
             else ""

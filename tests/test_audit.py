@@ -111,6 +111,15 @@ class TestAuditCli:
         assert rc == 0
         assert "audit OK (mode=ipa)" in out
 
+    def test_cli_audit_workload(self, capsys):
+        from repro.cli import main
+        rc = main(["audit", "--workload", "023.eqntott", "--mode", "ipa",
+                   "--scale", "0.1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "audit OK (mode=ipa)" in out
+        assert "hits verified:   0" not in out
+
     def test_cli_structured_error_nonzero_exit(self, capsys):
         from repro.cli import main
         rc = main(["audit", "--workload", "999.nonesuch"])

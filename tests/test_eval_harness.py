@@ -5,6 +5,7 @@ import pytest
 from repro.eval.breakeven import (breakeven_full_fraction,
                                   compute_breakeven, cost_cache,
                                   cost_registers)
+from repro.eval.elim import measure_workload as elim_row
 from repro.eval.figure3 import measure_hit_rate
 from repro.eval.nop_experiment import linear_regression, measure_workload
 from repro.eval.overhead import WorkloadBench, average
@@ -67,6 +68,20 @@ class TestTable2Harness:
     def test_paper_reference_data_complete(self):
         assert set(TABLE1) == set(TABLE2)
         assert len(TABLE1) == 10
+
+
+class TestElimHarness:
+    def test_ipa_dominates_full_on_the_spec_mimics(self):
+        # li, doduc and spice2g6 are where ipa removes label-only stores
+        # full cannot; gcc's sbrk obstacks are where it refuses them
+        rows = {name: elim_row(name, scale=TINY)
+                for name in ("022.li", "015.doduc", "013.spice2g6",
+                             "001.gcc1.35")}
+        for name, row in rows.items():
+            assert row["ipa"] >= row["full"], name
+        wins = [name for name, row in rows.items()
+                if row["ipa_static"] > row["full_static"]]
+        assert len(wins) >= 2, rows
 
 
 class TestFigure3Harness:

@@ -11,6 +11,7 @@ the thread-safety of a shared MonitoredRegionService.
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -252,6 +253,13 @@ class TestResourceManagement:
                     client.cont(session_id)
                 assert excinfo.value.context["reason"] == \
                     "unknown_session"
+
+    def test_close_wakes_the_accept_thread(self):
+        started = time.monotonic()
+        server = DebugServer().start()
+        server.close()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
 
     def test_draining_manager_refuses_new_work(self, server):
         manager = server.manager
