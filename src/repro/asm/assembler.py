@@ -58,10 +58,6 @@ class Program:
         self.functions: List[FunctionInfo] = []
         self.lang = "C"
 
-    @property
-    def text_end(self) -> int:
-        return self.text_base + 4 * len(self.insns)
-
     def function_named(self, name: str) -> FunctionInfo:
         for func in self.functions:
             if func.name == name:

@@ -40,12 +40,6 @@ class LoadedProgram:
                             max_instructions=max_instructions,
                             watchdog=watchdog)
 
-    def output_text(self) -> str:
-        return "".join(
-            item if len(item) == 1 and not item.isdigit() else item
-            for item in self.output)
-
-
 def load_program(program: Program,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
                  costs: CostModel = DEFAULT_COSTS,

@@ -91,9 +91,6 @@ class SymbolTable:
     def globals(self) -> Iterable[SymEntry]:
         return self._globals.values()
 
-    def locals_of(self, func: str) -> Iterable[SymEntry]:
-        return self._locals.get(func, {}).values()
-
     def local_at(self, func: str, offset: int) -> Optional[SymEntry]:
         """Find the local/param of *func* covering frame offset *offset*."""
         for entry in self._locals.get(func, {}).values():

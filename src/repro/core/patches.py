@@ -44,9 +44,6 @@ class PatchManager:
     def active_sites(self) -> List[int]:
         return sorted(self.reasons)
 
-    def is_active(self, site: int) -> bool:
-        return site in self.reasons
-
     def has_reason(self, site: int, reason: str) -> bool:
         return reason in self.reasons.get(site, {})
 

@@ -93,16 +93,6 @@ class MonitoredRegionService:
         self._lock = threading.RLock()
         self._install()
 
-    # -- compatibility: the patch refcounts used to live on the service ------
-
-    @property
-    def _active_reasons(self) -> Dict[int, Dict[str, int]]:
-        return self.patches.reasons
-
-    @_active_reasons.setter
-    def _active_reasons(self, value: Dict[int, Dict[str, int]]) -> None:
-        self.patches.reasons = value
-
     # -- setup --------------------------------------------------------------
 
     def _install(self) -> None:

@@ -437,17 +437,17 @@ class Debugger:
         if discard_recording:
             self.stop_record()
         snapshot, extra = checkpoint
-        (watchpoints, hits, log, started, region_refs) = extra[:5]
+        (watchpoints, hits, log, started, region_refs,
+         engine_states) = extra
         snapshot.restore(self.cpu, output=self.session.output,
                          mrs=self.mrs)
         self.watchpoints = list(watchpoints)
         for watchpoint, saved in zip(self.watchpoints, hits):
             watchpoint.hits = list(saved)
-        if len(extra) > 5:
-            # engine state (transition truth, $old shadow, counters)
-            # rewinds with the machine, so replayed execution re-fires
-            # predicates exactly as the recording did
-            self.engine.restore_states(self.watchpoints, extra[5])
+        # engine state (transition truth, $old shadow, counters) rewinds
+        # with the machine, so replayed execution re-fires predicates
+        # exactly as the recording did
+        self.engine.restore_states(self.watchpoints, engine_states)
         self.log = list(log)
         self._started = started
         self._region_refs = {key: list(ref)

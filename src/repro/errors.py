@@ -300,7 +300,3 @@ class RegionDeleteError(MrsTransactionError):
 
 class MonitorPatchError(MrsTransactionError):
     """``PreMonitor``/``PostMonitor`` failed; patches were rolled back."""
-
-
-class PatchError(MrsTransactionError):
-    """Installing or removing a single Kessler patch failed."""

@@ -115,9 +115,6 @@ class OptimizationPlan:
     def uses_shadow_stack(self) -> bool:
         return bool(self.fp_push_indices)
 
-    def eliminated_sites(self) -> List[int]:
-        return sorted(self.eliminate)
-
     def merge_site(self, site: int, kind: str,
                    why: Optional[str] = None) -> None:
         """Record an elimination (first decision wins)."""

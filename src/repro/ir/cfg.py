@@ -5,7 +5,7 @@ detection (§4.3)."""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.ir.build import Block, FuncIr
 
@@ -94,13 +94,3 @@ def dominates(a: Block, b: Block) -> bool:
             return True
         runner = runner.idom
     return False
-
-
-def dominator_depths(order: List[Block]) -> Dict[int, int]:
-    depths: Dict[int, int] = {}
-    for block in order:
-        if block.idom is None:
-            depths[block.bid] = 0
-        else:
-            depths[block.bid] = depths[block.idom.bid] + 1
-    return depths

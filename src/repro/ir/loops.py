@@ -25,9 +25,6 @@ class Loop:
         self.children: List["Loop"] = []
         self.loop_id = -1
 
-    def contains_block(self, block: Block) -> bool:
-        return block.bid in self.body
-
     def __repr__(self) -> str:
         return "<loop @B%d, %d blocks>" % (self.header.bid, len(self.body))
 

@@ -133,10 +133,3 @@ def convert_to_ssa(func: FuncIr) -> SsaInfo:
     finally:
         sys.setrecursionlimit(old_limit)
     return info
-
-
-def defining_block(var: SsaVar) -> Block:
-    """Block containing *var*'s definition (entry block for undefined)."""
-    if var.def_op is not None and var.def_op.block is not None:
-        return var.def_op.block
-    return None

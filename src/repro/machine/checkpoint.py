@@ -120,7 +120,7 @@ def _snapshot_mrs(mrs) -> Dict:
         "regions": list(mrs.regions),
         "hits": list(mrs.hits),
         "preheader_hits": dict(mrs.preheader_hits),
-        "active_reasons": copy.deepcopy(mrs._active_reasons),
+        "active_reasons": copy.deepcopy(mrs.patches.reasons),
         "bitmap": (dict(mrs.bitmap._segments),
                    dict(mrs.bitmap._word_counts),
                    dict(mrs.bitmap.region_counts),
@@ -139,7 +139,7 @@ def _restore_mrs(mrs, state: Dict) -> None:
     mrs.regions = regions
     mrs.hits = list(state["hits"])
     mrs.preheader_hits = dict(state["preheader_hits"])
-    mrs._active_reasons = copy.deepcopy(state["active_reasons"])
+    mrs.patches.reasons = copy.deepcopy(state["active_reasons"])
     segments, word_counts, region_counts, arena_next = state["bitmap"]
     mrs.bitmap._segments = dict(segments)
     mrs.bitmap._word_counts = dict(word_counts)

@@ -133,9 +133,6 @@ class CodeSpace:
     def limit(self) -> int:
         return self.base + 4 * len(self.insns)
 
-    def addr_of(self, index: int) -> int:
-        return self.base + 4 * index
-
     def index_of(self, addr: int) -> int:
         if addr < self.base or addr >= self.limit or addr & 3:
             raise SimulationError("invalid code address 0x%x" % addr)

@@ -137,19 +137,3 @@ def build_plan(statements_or_source, mode: str = "full",
                      faults=faults)
 
     return statements, plan
-
-
-def optimize_and_instrument(asm_source: str, mode: str = "full",
-                            strategy: str = "BitmapInlineRegisters",
-                            layout: Optional[MonitorLayout] = None,
-                            optimistic_loads: bool = True):
-    """Convenience: build a plan and an InstrumentResult in one step."""
-    from repro.instrument.rewriter import Rewriter
-    from repro.instrument.strategies import make_strategy
-
-    statements, plan = build_plan(asm_source, mode, layout,
-                                  optimistic_loads)
-    lang = _find_lang(statements)
-    strat = make_strategy(strategy, layout)
-    rewriter = Rewriter(strat, plan)
-    return rewriter.rewrite(statements, lang)

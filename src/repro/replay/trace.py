@@ -154,12 +154,6 @@ class WriteTrace:
 
     # -- queries -----------------------------------------------------------
 
-    def records_for(self, start: int, size: int,
-                    writes_only: bool = True) -> List[WriteRecord]:
-        return [record for record in self._records
-                if record.overlaps(start, size)
-                and not (writes_only and record.is_read)]
-
     def last_write_to(self, start: int, size: int,
                       before_index: Optional[int] = None
                       ) -> Optional[WriteRecord]:

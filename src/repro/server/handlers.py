@@ -60,16 +60,15 @@ from repro.isa.instructions import to_signed
 from repro.machine.cpu import SimulationLimit
 from repro.server.manager import ManagedSession, SessionManager
 from repro.server.protocol import (PROTOCOL_VERSION, SUPPORTED_VERSIONS,
-                                   Request, Response, error_payload)
+                                   Request, Response, check_type,
+                                   error_payload)
 
 __all__ = ["ServerConfig", "RequestRouter", "fault_plan_from_spec",
-           "invalid_condition", "parse_condition",
-           "supported_access_types"]
+           "invalid_condition", "supported_access_types"]
 
 #: default per-request execution quota (simulated instructions)
 DEFAULT_QUOTA = 2_000_000
 
-_COND_RE = re.compile(r"^\s*(==|!=|<=|>=|<|>)\s*(-?\d+)\s*$")
 _DATA_ID_RE = re.compile(r"^w:(?P<name>[^@]+)@(?P<func>.*)$")
 
 
@@ -161,25 +160,6 @@ def fault_plan_from_spec(spec: Dict[str, Any]) -> FaultPlan:
                      max_traps=spec.get("maxTraps"))
 
 
-def parse_condition(text: str) -> Callable[[int], bool]:
-    """Compile a breakpoint condition like ``"== 42"`` or ``"> 10"``
-    into a predicate over the newly written value."""
-    match = _COND_RE.match(text)
-    if match is None:
-        raise ProtocolError("unsupported condition %r (use OP INT with "
-                            "OP in ==, !=, <, <=, >, >=)" % text,
-                            field="condition", reason="condition")
-    op, literal = match.group(1), int(match.group(2))
-    return {
-        "==": lambda value: value == literal,
-        "!=": lambda value: value != literal,
-        "<": lambda value: value < literal,
-        "<=": lambda value: value <= literal,
-        ">": lambda value: value > literal,
-        ">=": lambda value: value >= literal,
-    }[op]
-
-
 def invalid_condition(text: str, exc) -> ProtocolError:
     """Map a :class:`~repro.errors.PredicateCompileError` onto the wire
     error shape: ``reason="invalid_condition"`` plus the offending
@@ -192,6 +172,8 @@ def invalid_condition(text: str, exc) -> ProtocolError:
 
 
 def supported_access_types(debugger: Debugger) -> List[str]:
+    """DAP accessTypes: a read-monitoring session serves all three
+    kinds; without read monitoring only writes are observable."""
     strategy = debugger.session.inst.strategy
     if getattr(strategy, "monitor_reads", False):
         return ["read", "write", "readWrite"]
@@ -210,11 +192,21 @@ def _split_data_id(data_id: str):
     return match.group("name"), (match.group("func") or None)
 
 
-def _require_arg(arguments: Dict[str, Any], name: str) -> Any:
+def _require_arg(arguments: Dict[str, Any], name: str,
+                 kind: type = str) -> Any:
+    """Argument *name*, which must be a *kind*: a mistyped argument is
+    the client's error, never a raw ValueError inside a handler."""
     if name not in arguments:
         raise ProtocolError("request is missing argument %r" % name,
                             field=name, reason="missing_argument")
-    return arguments[name]
+    return check_type(arguments[name], kind, name, "argument")
+
+
+def _optional_arg(arguments: Dict[str, Any], name: str, default: Any,
+                  kind: type) -> Any:
+    value = arguments.get(name)
+    return default if value is None else \
+        check_type(value, kind, name, "argument")
 
 
 class RequestRouter:
@@ -364,7 +356,7 @@ class RequestRouter:
                               ) -> Dict[str, Any]:
         session_id = _require_arg(arguments, "sessionId")
         name = _require_arg(arguments, "name")
-        func = arguments.get("func")
+        func = _optional_arg(arguments, "func", None, str)
 
         def fn(managed: ManagedSession) -> Dict[str, Any]:
             try:
@@ -373,17 +365,11 @@ class RequestRouter:
                 # DAP: a null dataId means "not watchable", with a
                 # human-readable description — not a request failure
                 return {"dataId": None, "description": str(exc)}
-            strategy = managed.debugger.session.inst.strategy
-            # DAP accessTypes: a read-monitoring session serves all
-            # three kinds; without read monitoring only writes are
-            # observable, so only "write" is offered
-            access = (["read", "write", "readWrite"]
-                      if getattr(strategy, "monitor_reads", False)
-                      else ["write"])
             return {"dataId": _data_id(name, func),
                     "description": "%s (%s, %d bytes at 0x%x)"
                                    % (name, entry.kind, size, addr),
-                    "accessTypes": access,
+                    "accessTypes": supported_access_types(
+                        managed.debugger),
                     "address": addr, "size": size,
                     "canPersist": False}
 
@@ -392,10 +378,9 @@ class RequestRouter:
     def _set_data_breakpoints(self, arguments: Dict[str, Any], emit
                               ) -> Dict[str, Any]:
         session_id = _require_arg(arguments, "sessionId")
-        specs = _require_arg(arguments, "breakpoints")
-        if not isinstance(specs, list):
-            raise ProtocolError("breakpoints must be a list",
-                                field="breakpoints", reason="type")
+        specs = _require_arg(arguments, "breakpoints", list)
+        for spec in specs:
+            check_type(spec, dict, "breakpoints", "argument")
 
         def fn(managed: ManagedSession) -> Dict[str, Any]:
             debugger = managed.debugger
@@ -528,8 +513,8 @@ class RequestRouter:
 
     def _continue(self, arguments: Dict[str, Any], emit) -> Dict[str, Any]:
         session_id = _require_arg(arguments, "sessionId")
-        quota = min(int(arguments.get("quota",
-                                      self.config.quota_instructions)),
+        quota = min(_optional_arg(arguments, "quota",
+                                  self.config.quota_instructions, int),
                     self.config.quota_instructions)
         return self._execute(
             session_id,
@@ -537,7 +522,7 @@ class RequestRouter:
 
     def _step(self, arguments: Dict[str, Any], emit) -> Dict[str, Any]:
         session_id = _require_arg(arguments, "sessionId")
-        count = int(arguments.get("count", 1))
+        count = _optional_arg(arguments, "count", 1, int)
         count = max(1, min(count, self.config.quota_instructions))
         return self._execute(
             session_id, lambda managed: managed.debugger.step(count))
@@ -547,7 +532,7 @@ class RequestRouter:
         verified re-execution; replayed hits stream as ``monitorHit``
         events just like forward execution did)."""
         session_id = _require_arg(arguments, "sessionId")
-        count = int(arguments.get("count", 1))
+        count = _optional_arg(arguments, "count", 1, int)
         count = max(1, min(count, self.config.quota_instructions))
         return self._execute(
             session_id,
@@ -567,7 +552,7 @@ class RequestRouter:
         path), so it runs on the bounded execution pool."""
         session_id = _require_arg(arguments, "sessionId")
         expression = _require_arg(arguments, "expression")
-        func = arguments.get("func")
+        func = _optional_arg(arguments, "func", None, str)
 
         def fn(managed: ManagedSession) -> Dict[str, Any]:
             answer = managed.debugger.last_write(expression, func)
@@ -586,7 +571,7 @@ class RequestRouter:
     def _evaluate(self, arguments: Dict[str, Any], emit) -> Dict[str, Any]:
         session_id = _require_arg(arguments, "sessionId")
         expression = _require_arg(arguments, "expression")
-        func = arguments.get("func")
+        func = _optional_arg(arguments, "func", None, str)
 
         def fn(managed: ManagedSession) -> Dict[str, Any]:
             entry, addr, value = managed.debugger.evaluate(expression,

@@ -67,7 +67,7 @@ _HEADER = struct.Struct(">I")
 __all__ = ["PROTOCOL_VERSION", "SUPPORTED_VERSIONS", "MAX_FRAME_BYTES",
            "Request", "Response", "Event", "Message",
            "encode", "decode", "read_frame", "write_frame",
-           "read_message", "write_message", "error_payload"]
+           "read_message", "write_message", "error_payload", "check_type"]
 
 
 # -- message types ------------------------------------------------------------
@@ -128,11 +128,9 @@ def encode(message: Message) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def _require(obj: Dict[str, Any], name: str, kinds, where: str) -> Any:
-    if name not in obj:
-        raise ProtocolError("%s missing required field %r" % (where, name),
-                            field=name, reason="missing")
-    value = obj[name]
+def check_type(value: Any, kinds, name: str, where: str) -> Any:
+    """*value*, if it is one of *kinds* (a bool is no int); otherwise a
+    ``reason="type"`` error naming field *name* of *where*."""
     if not isinstance(value, kinds) or isinstance(value, bool) and \
             kinds is int:
         raise ProtocolError(
@@ -140,6 +138,13 @@ def _require(obj: Dict[str, Any], name: str, kinds, where: str) -> Any:
                                                type(value).__name__),
             field=name, reason="type")
     return value
+
+
+def _require(obj: Dict[str, Any], name: str, kinds, where: str) -> Any:
+    if name not in obj:
+        raise ProtocolError("%s missing required field %r" % (where, name),
+                            field=name, reason="missing")
+    return check_type(obj[name], kinds, name, where)
 
 
 def decode(payload: bytes) -> Message:

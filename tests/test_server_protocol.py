@@ -5,16 +5,18 @@ import struct
 
 import pytest
 
-from repro.errors import (MrsTransactionError, ProtocolError, ReproError,
-                          ServerError)
+from repro.errors import (MrsTransactionError, PredicateCompileError,
+                          ProtocolError, ReproError, ServerError)
 from repro.faults import SERVICE_CREATE
 from repro.server.handlers import (RequestRouter, ServerConfig,
-                                   fault_plan_from_spec, parse_condition)
+                                   fault_plan_from_spec)
 from repro.server.manager import SessionManager
 from repro.server.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                                    Event, Request, Response, decode,
                                    encode, error_payload, read_frame,
                                    write_frame)
+from repro.watchpoints.predicate import (EvalContext, compile_predicate,
+                                         condition_to_expr)
 
 
 def roundtrip(message):
@@ -180,11 +182,13 @@ class TestConditionsAndFaultSpecs:
         (">= -2", -2, True), ("> 10", 10, False),
     ])
     def test_parse_condition(self, text, value, expected):
-        assert parse_condition(text)(value) is expected
+        # the legacy "OP INT" dialect desugars onto the predicate path
+        predicate = compile_predicate(condition_to_expr(text))
+        assert predicate.truth(EvalContext(value=value)) is expected
 
     def test_bad_condition_rejected(self):
-        with pytest.raises(ProtocolError):
-            parse_condition("import os")
+        with pytest.raises(PredicateCompileError):
+            compile_predicate(condition_to_expr("import os"))
 
     def test_fault_plan_from_spec(self):
         plan = fault_plan_from_spec({
@@ -236,3 +240,24 @@ class TestNegotiation:
         assert not response.success
         assert response.error["error"] == "ProtocolError"
         assert response.error["context"]["field"] == "source"
+
+    @pytest.mark.parametrize("command,arguments,field", [
+        ("step", {"count": "abc"}, "count"),
+        ("continue", {"quota": "lots"}, "quota"),
+        ("evaluate", {"expression": 7}, "expression"),
+        ("dataBreakpointInfo", {"name": 7}, "name"),
+        ("setDataBreakpoints", {"breakpoints": ["w:g@"]}, "breakpoints"),
+        ("launch", {"source": 5}, "source"),
+    ])
+    def test_wrong_argument_type(self, command, arguments, field):
+        # a mistyped argument is the client's error, never a server bug
+        router = self.router()
+        launched = self.dispatch(router, "launch", {
+            "source": "int g;\nint main() { g = 1; return 0; }\n"})
+        arguments = dict(arguments, sessionId=launched.body["sessionId"])
+        response = self.dispatch(router, command, arguments)
+        assert not response.success
+        assert "internal" not in response.error
+        assert response.error["error"] == "ProtocolError"
+        assert response.error["context"] == {"field": field,
+                                             "reason": "type"}
