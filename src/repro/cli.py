@@ -228,7 +228,6 @@ _EVAL_COMMANDS = {
     "baselines": ("repro.eval.baselines", 0.5),
     "space": ("repro.eval.space", 1.0),
     "ablations": ("repro.eval.ablations", 0.5),
-    "watchkinds": ("repro.eval.watchkinds", 0.5),
     "elim": ("repro.eval.elim", 0.3),
 }
 

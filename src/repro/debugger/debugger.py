@@ -51,23 +51,22 @@ class Watchpoint:
     ``"readWrite"``, None for the historical any-access behaviour).
     The ``shadow`` / ``truth`` / ``stats`` fields belong to the
     :class:`~repro.watchpoints.engine.WatchpointEngine` and are seeded
-    at arm time.
+    at arm time; :meth:`Debugger.checkpoint` captures them by value.
     """
 
     def __init__(self, debugger: "Debugger", name: str, entry: SymEntry,
-                 region: MonitoredRegion, action: str,
+                 addr: int, size: int, action: str,
                  condition: Optional[Callable[[int], bool]],
                  callback: Optional[Callable], func: Optional[str],
                  predicate=None, when: Optional[str] = None,
-                 access: Optional[str] = None,
-                 addr: Optional[int] = None,
-                 size: Optional[int] = None):
+                 access: Optional[str] = None):
         from repro.watchpoints.engine import WatchStats
 
         self.debugger = debugger
         self.name = name
         self.entry = entry
-        self.region = region
+        #: the (possibly shared) monitored region; set when armed
+        self.region: Optional[MonitoredRegion] = None
         self.action = action
         self.condition = condition
         self.callback = callback
@@ -77,8 +76,8 @@ class Watchpoint:
         self.access = access
         #: exact watched byte range (the region is word-rounded and
         #: may be shared; the engine's byte-range guard uses these)
-        self.addr = region.start if addr is None else addr
-        self.size = region.size if size is None else size
+        self.addr = addr
+        self.size = size
         self.hits: List[Tuple[int, int, int]] = []  # (addr, size, value)
         self.enabled = True
         #: pruner verdict (repro.analysis.prune): True when no write
@@ -101,6 +100,11 @@ class Watchpoint:
         if self.predicate is not None or self.condition is not None:
             return "conditional"
         return "plain"
+
+    @property
+    def region_key(self) -> Tuple[int, int]:
+        """``(start, size)`` of the word-rounded region it watches."""
+        return (self.addr, (self.size + 3) & ~3)
 
     def hit_count(self) -> int:
         return len(self.hits)
@@ -167,15 +171,16 @@ class Debugger:
         """Compile, instrument and attach a debugger to mini-C source.
 
         *optimize* is any :func:`~repro.optimizer.pipeline.build_plan`
-        mode (``"sym"``, ``"full"``, ``"ipa"``) or None; *faults*
-        reaches the plan build (e.g. the ``analysis.unsound`` point).
+        mode (``"sym"``, ``"full"``, ``"ipa"``) or None; *faults* arms
+        the session's MRS and memory injection points.
         """
         asm = compile_source(c_source, lang=lang)
         plan: Optional[OptimizationPlan] = None
         if optimize:
-            _stmts, plan = build_plan(asm, mode=optimize, faults=faults)
+            _stmts, plan = build_plan(asm, mode=optimize)
         session = DebugSession.from_asm(asm, strategy=strategy, plan=plan,
-                                        monitor_reads=monitor_reads)
+                                        monitor_reads=monitor_reads,
+                                        faults=faults)
         return cls(session)
 
     # -- name resolution -------------------------------------------------------
@@ -241,6 +246,47 @@ class Debugger:
         anything the region reports, the historical behaviour).
         """
         from repro.errors import PredicateCompileError, PredicateError
+
+        watchpoint = self.new_watchpoint(expression, func, action,
+                                         condition, callback, expr, when,
+                                         access)
+        # §4.2 protocol: patch known writes first, then create the region
+        self.mrs.pre_monitor(watchpoint.entry.name, func)
+        key = watchpoint.region_key
+        ref = self._region_refs.get(key)
+        if ref is None:
+            # a watch placed while stopped mid-run must re-insert checks
+            # in loops whose pre-headers already executed this entry
+            region = self.mrs.create_region(*key,
+                                            mid_run=self._started)
+            ref = [region, 0]
+            self._region_refs[key] = ref
+        ref[1] += 1
+        watchpoint.region = ref[0]
+        self.watchpoints.append(watchpoint)
+        try:
+            self.engine.seed(watchpoint)
+        except (PredicateError, PredicateCompileError):
+            # the predicate faults on *current* memory: roll the arm
+            # back so nothing half-armed remains
+            self.unwatch(watchpoint)
+            raise
+        if self._recorder is not None:
+            self._recorder.on_monitor_change()
+        return watchpoint
+
+    def new_watchpoint(self, expression: str, func: Optional[str] = None,
+                       action: str = "log",
+                       condition: Optional[Callable[[int], bool]] = None,
+                       callback: Optional[Callable] = None,
+                       expr: Optional[str] = None,
+                       when: Optional[str] = None,
+                       access: Optional[str] = None) -> Watchpoint:
+        """The part of :meth:`watch` that touches neither the MRS nor
+        the engine: validate, resolve, compile the predicate, construct
+        the :class:`Watchpoint` (its ``region`` still None) and take the
+        pruner's verdict.  A hibernation thaw builds its watchpoints
+        here and hands them to :meth:`restore`."""
         from repro.watchpoints.engine import ACCESS_KINDS, EDGES
         from repro.watchpoints.predicate import compile_predicate
 
@@ -262,23 +308,10 @@ class Debugger:
             # a bad predicate must fail at arm time with nothing armed
             predicate = compile_predicate(expr, symtab=self.symtab,
                                           func=func)
-        # §4.2 protocol: patch known writes first, then create the region
-        self.mrs.pre_monitor(entry.name, func)
-        key = (addr, (size + 3) & ~3)
-        ref = self._region_refs.get(key)
-        if ref is None:
-            # a watch placed while stopped mid-run must re-insert checks
-            # in loops whose pre-headers already executed this entry
-            region = self.mrs.create_region(*key,
-                                            mid_run=self._started)
-            ref = [region, 0]
-            self._region_refs[key] = ref
-        ref[1] += 1
-        region = ref[0]
-        watchpoint = Watchpoint(self, expression, entry, region, action,
-                                condition, callback, func,
+        watchpoint = Watchpoint(self, expression, entry, addr, size,
+                                action, condition, callback, func,
                                 predicate=predicate, when=when,
-                                access=access, addr=addr, size=size)
+                                access=access)
         if predicate is not None and predicate.const is None:
             # dependency pruning: when the ipa pass left a may-write
             # fact for every site and none aliases the predicate's
@@ -289,16 +322,6 @@ class Debugger:
             watchpoint.invariant = predicate_invariant(
                 predicate, inst.plan, self.symtab,
                 sites=[s.site for s in inst.sites])
-        self.watchpoints.append(watchpoint)
-        try:
-            self.engine.seed(watchpoint)
-        except (PredicateError, PredicateCompileError):
-            # the predicate faults on *current* memory: roll the arm
-            # back so nothing half-armed remains
-            self.unwatch(watchpoint)
-            raise
-        if self._recorder is not None:
-            self._recorder.on_monitor_change()
         return watchpoint
 
     def unwatch(self, watchpoint: Watchpoint) -> None:
@@ -409,6 +432,12 @@ class Debugger:
     def checkpoint(self):
         """Snapshot the debuggee for replayed execution (§5).
 
+        Returns ``(machine Checkpoint, watchpoint list, state)``, where
+        *state* holds per watchpoint, in list order, its hits and engine
+        state, plus the log and started flag — plain data that
+        :meth:`restore` takes back after a JSON round trip (hibernation
+        writes it into the frozen header).
+
         Watchpoints may be added or removed between :meth:`restore` and
         the next :meth:`run` — the classic replay loop narrows in on a
         corruption across repeated re-executions.
@@ -417,13 +446,22 @@ class Debugger:
 
         snapshot = Checkpoint(self.cpu, output=self.session.output,
                               mrs=self.mrs)
-        extra = (list(self.watchpoints),
-                 [list(w.hits) for w in self.watchpoints],
-                 list(self.log), self._started,
-                 {key: list(ref) for key, ref in
-                  self._region_refs.items()},
-                 self.engine.states(self.watchpoints))
-        return (snapshot, extra)
+        state = {
+            "watchpoints": [{
+                "hits": list(w.hits),
+                "enabled": w.enabled,
+                "truth": w.truth,
+                "recordTruth": w.record_truth,
+                "shadow": list(w.shadow.items()),
+                "stats": w.stats.as_tuple(),
+                "cachedTruth": w.cached_truth,
+                "disarm": None if w.disarm_error is None else
+                (w.disarm_error.args[0], w.disarm_error.reason),
+            } for w in self.watchpoints],
+            "log": list(self.log),
+            "started": self._started,
+        }
+        return (snapshot, list(self.watchpoints), state)
 
     def restore(self, checkpoint, discard_recording: bool = True) -> None:
         """Rewind the debuggee to a :meth:`checkpoint` — including the
@@ -434,24 +472,36 @@ class Debugger:
         (the replay engine's own keyframe restores pass
         ``discard_recording=False``).
         """
+        from repro.errors import PredicateError
+        from repro.watchpoints.engine import WatchStats
+
         if discard_recording:
             self.stop_record()
-        snapshot, extra = checkpoint
-        (watchpoints, hits, log, started, region_refs,
-         engine_states) = extra
+        snapshot, watchpoints, state = checkpoint
         snapshot.restore(self.cpu, output=self.session.output,
                          mrs=self.mrs)
         self.watchpoints = list(watchpoints)
-        for watchpoint, saved in zip(self.watchpoints, hits):
-            watchpoint.hits = list(saved)
-        # engine state (transition truth, $old shadow, counters) rewinds
-        # with the machine, so replayed execution re-fires predicates
-        # exactly as the recording did
-        self.engine.restore_states(self.watchpoints, engine_states)
-        self.log = list(log)
-        self._started = started
-        self._region_refs = {key: list(ref)
-                             for key, ref in region_refs.items()}
+        self._region_refs = {}
+        for watchpoint, saved in zip(self.watchpoints,
+                                     state["watchpoints"]):
+            watchpoint.hits = list(map(tuple, saved["hits"]))
+            # engine state (transition truth, $old shadow, counters)
+            # rewinds with the machine, so replayed execution re-fires
+            # predicates exactly as the recording did
+            watchpoint.enabled = saved["enabled"]
+            watchpoint.truth = saved["truth"]
+            watchpoint.record_truth = saved["recordTruth"]
+            watchpoint.shadow = dict(saved["shadow"])
+            watchpoint.stats = WatchStats.from_tuple(saved["stats"])
+            watchpoint.cached_truth = saved["cachedTruth"]
+            disarm = saved["disarm"]
+            watchpoint.disarm_error = None if disarm is None else \
+                PredicateError(disarm[0], reason=disarm[1])
+            region = watchpoint.region
+            ref = self._region_refs.setdefault(region.key(), [region, 0])
+            ref[1] += 1
+        self.log = list(state["log"])
+        self._started = state["started"]
         self.stop_reason = None
         self.stopped_watch = None
 

@@ -11,12 +11,11 @@ Three knobs DESIGN.md calls out, each swept here:
   configuration (no alias/overflow guards, §4.6.2); `guard_aliases`
   trades eliminated checks for static soundness.
 
-Run as ``python -m repro.eval.ablations [scale]``.
+Run as ``python -m repro ablations [--scale S]``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict
 
 from repro.optimizer.pipeline import build_plan
@@ -148,7 +147,3 @@ def main(scale: float = 0.5) -> Dict[str, object]:
     for label, row in safety.items():
         print("  %-18s %s" % (label, row))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)

@@ -10,12 +10,11 @@ strategies:
 * VAX DEBUG page protection: per-fault costs plus false faults from
   unmonitored data sharing pages.
 
-Run as ``python -m repro.eval.baselines [scale]``.
+Run as ``python -m repro baselines [--scale S]``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional
 
 from repro.baselines.hardware import (HardwareWatchpoints,
@@ -128,7 +127,3 @@ def main(scale: float = 0.5) -> Dict[str, object]:
           "%d hits, %d false faults from page sharing"
           % (vm["overhead"], vm["hits"], vm["false_faults"]))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)

@@ -14,12 +14,11 @@ lookup is 24.3-44.0%.  For FORTRAN programs, the break-even point is
 We redo the analysis with *our* implementations' instruction counts
 (derived from the generated check code) and measured cache-hit rates.
 
-Run as ``python -m repro.eval.breakeven``.
+Run as ``python -m repro breakeven``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Tuple
 
 #: instruction counts of our generated code paths (checks enabled,
@@ -100,7 +99,3 @@ def main() -> Dict[str, Tuple[float, float]]:
           "the extra cache-check instructions cancel its benefit "
           "(§3.3.3).")
     return results
-
-
-if __name__ == "__main__":
-    sys.exit(0 if main() else 1)

@@ -9,12 +9,11 @@ strong as ``full`` everywhere and strictly stronger on some workloads;
 the heap-heavy ones (gcc's sbrk-backed obstacks) are where it refuses —
 the adversarial-aliasing showcase.
 
-Run as ``python -m repro.eval.elim [scale]`` (CLI: ``repro elim``).
+Run as ``python -m repro elim [--scale S]``.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from typing import Dict, List, Optional
 
@@ -90,7 +89,3 @@ def main(scale: float = 1.0) -> Dict[str, Dict[str, float]]:
     print("ipa eliminates strictly more checks than full on %d "
           "workload(s): %s" % (len(wins), ", ".join(wins) or "none"))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)

@@ -8,12 +8,11 @@ segments because "segment sizes greater than 128 words did not offer
 enough gain in cache locality to justify the possible increase in full
 lookups" (and segment-table size).
 
-Run as ``python -m repro.eval.figure3 [scale]``.
+Run as ``python -m repro figure3 [--scale S]``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional
 
 from repro.core.layout import MonitorLayout
@@ -76,7 +75,3 @@ def main(scale: float = 1.0,
               "observation that larger segments buy little locality"
               % (rates[128], big, rates[big]))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)

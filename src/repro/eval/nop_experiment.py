@@ -9,13 +9,12 @@ caused by cache alignment effects.  The last column of Table 1 shows
 the standard deviation of the differences between expected and
 observed overhead."
 
-Run as ``python -m repro.eval.nop_experiment [scale]``.
+Run as ``python -m repro nop [--scale S]``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.eval.overhead import WorkloadBench
@@ -107,7 +106,3 @@ def main(scale: float = 1.0) -> Dict[str, Dict[str, float]]:
     print("Nop-insertion cache-effect experiment (σ column of Table 1)")
     print(format_table(results))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)

@@ -8,12 +8,11 @@ We populate the bitmap over each workload's entire data segment (the
 worst case: everything monitored) and report allocated bitmap bytes as
 a fraction of program memory.
 
-Run as ``python -m repro.eval.space``.
+Run as ``python -m repro space [--scale S]``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Optional, List
 
 from repro.core.bitmap import SegmentedBitmap
@@ -70,7 +69,3 @@ def main(scale: float = 1.0,
               % (name, row["program_bytes"], row["data_bytes"],
                  row["bitmap_bytes"], 100.0 * row["fraction"]))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)

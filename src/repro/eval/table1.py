@@ -1,12 +1,11 @@
 """Experiment E1: reproduce Table 1 — MRS overhead per write-check
 implementation, on the ten SPEC-mimic workloads.
 
-Run as ``python -m repro.eval.table1 [scale]``.
+Run as ``python -m repro table1 [--scale S]``.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional
 
 from repro.eval.overhead import WorkloadBench, average, header_lines, \
@@ -115,7 +114,3 @@ def main(scale: float = 1.0) -> Dict[str, Dict[str, float]]:
                       % (name, paper["Bitmap"], paper["Cache"],
                          results[name]["Bitmap"], results[name]["Cache"]))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)

@@ -9,12 +9,11 @@ For each workload we report, as percentages of dynamic write checks:
   (symbol only) configurations, per §4.6.2 — both include the
   supporting %fp-definition and indirect-jump verification costs.
 
-Run as ``python -m repro.eval.table2 [scale]``.
+Run as ``python -m repro table2 [--scale S]``.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from typing import Dict, List, Optional
 
@@ -126,7 +125,3 @@ def main(scale: float = 1.0) -> Dict[str, Dict[str, float]]:
           % scale)
     print(format_table(results))
     return results
-
-
-if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)

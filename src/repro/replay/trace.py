@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 _RECORD = struct.Struct(">QIIIIIB")
 _HEADER = struct.Struct(">4sHQQ")
@@ -154,19 +154,28 @@ class WriteTrace:
 
     # -- queries -----------------------------------------------------------
 
-    def last_write_to(self, start: int, size: int,
-                      before_index: Optional[int] = None
-                      ) -> Optional[WriteRecord]:
-        """Most recent write overlapping ``[start, start+size)`` whose
-        stop position is at or before *before_index* (when given)."""
-        for record in reversed(self._records):
+    def last_write(self, start: int, size: int,
+                   before_index: Optional[int] = None
+                   ) -> Optional[Tuple[int, WriteRecord]]:
+        """``(absolute position, record)`` of the most recent write
+        overlapping ``[start, start+size)`` whose stop position is at
+        or before *before_index* (when given)."""
+        for offset in range(len(self._records) - 1, -1, -1):
+            record = self._records[offset]
             if record.is_read or not record.overlaps(start, size):
                 continue
             if before_index is not None and \
                     record.stop_index > before_index:
                 continue
-            return record
+            return self.base + offset, record
         return None
+
+    def last_write_to(self, start: int, size: int,
+                      before_index: Optional[int] = None
+                      ) -> Optional[WriteRecord]:
+        """The record of :meth:`last_write`, or None."""
+        answer = self.last_write(start, size, before_index)
+        return None if answer is None else answer[1]
 
     # -- canonical serialisation -------------------------------------------
 

@@ -47,7 +47,6 @@ and the hibernation pair ``sessionHibernated`` / ``sessionResumed``.
 
 from __future__ import annotations
 
-import re
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -58,18 +57,18 @@ from repro.watchpoints.predicate import condition_to_expr
 from repro.faults import FaultPlan
 from repro.isa.instructions import to_signed
 from repro.machine.cpu import SimulationLimit
-from repro.server.manager import ManagedSession, SessionManager
+from repro.server.manager import (ManagedSession, SessionManager,
+                                  build_debugger)
 from repro.server.protocol import (PROTOCOL_VERSION, SUPPORTED_VERSIONS,
                                    Request, Response, check_type,
-                                   error_payload)
+                                   error_payload, format_data_id,
+                                   parse_data_id)
 
 __all__ = ["ServerConfig", "RequestRouter", "fault_plan_from_spec",
            "invalid_condition", "supported_access_types"]
 
 #: default per-request execution quota (simulated instructions)
 DEFAULT_QUOTA = 2_000_000
-
-_DATA_ID_RE = re.compile(r"^w:(?P<name>[^@]+)@(?P<func>.*)$")
 
 
 class ServerConfig:
@@ -180,18 +179,6 @@ def supported_access_types(debugger: Debugger) -> List[str]:
     return ["write"]
 
 
-def _data_id(name: str, func: Optional[str]) -> str:
-    return "w:%s@%s" % (name, func or "")
-
-
-def _split_data_id(data_id: str):
-    match = _DATA_ID_RE.match(data_id)
-    if match is None:
-        raise ProtocolError("malformed dataId %r" % (data_id,),
-                            field="dataId", reason="data_id")
-    return match.group("name"), (match.group("func") or None)
-
-
 def _require_arg(arguments: Dict[str, Any], name: str,
                  kind: type = str) -> Any:
     """Argument *name*, which must be a *kind*: a mistyped argument is
@@ -282,33 +269,10 @@ class RequestRouter:
         monitor_reads = bool(arguments.get("monitorReads", False))
         faults_spec = arguments.get("faults")
         record_spec = arguments.get("record", False)
-
-        def factory() -> Debugger:
-            if faults_spec:
-                from repro.instrument.plan import OptimizationPlan
-                from repro.minic.codegen import compile_source
-                from repro.optimizer.pipeline import build_plan
-                from repro.session import DebugSession
-                asm = compile_source(source, lang=lang)
-                plan: Optional[OptimizationPlan] = None
-                if optimize and optimize != "none":
-                    _stmts, plan = build_plan(asm, mode=optimize)
-                session = DebugSession.from_asm(
-                    asm, strategy=strategy, plan=plan,
-                    monitor_reads=monitor_reads,
-                    faults=fault_plan_from_spec(faults_spec))
-                return Debugger(session)
-            return Debugger.for_source(
-                source, lang=lang, strategy=strategy,
-                optimize=None if optimize == "none" else optimize,
-                monitor_reads=monitor_reads)
-
-        managed = self.manager.create(factory)
-        managed.subscribe(emit)
-        # the identity hibernation rebuilds the debuggee from; kept
-        # even for fault-plan sessions so freeze can refuse them with
-        # a reason instead of guessing
-        managed.program_spec = {
+        # the identity the debuggee is built from, here and on thaw;
+        # kept even for fault-plan sessions so freeze can refuse them
+        # with a reason instead of guessing
+        program = {
             "source": source, "lang": lang, "strategy": strategy,
             "optimize": optimize if optimize != "none" else None,
             "monitorReads": monitor_reads,
@@ -316,7 +280,13 @@ class RequestRouter:
         workload = arguments.get("workload")
         if workload:
             # names the run in the persistent trace store's analytics
-            managed.program_spec["workload"] = workload
+            program["workload"] = workload
+
+        managed = self.manager.create(lambda: build_debugger(
+            program, faults=fault_plan_from_spec(faults_spec)
+            if faults_spec else None))
+        managed.subscribe(emit)
+        managed.program_spec = program
         self._wire_monitor_stream(managed)
         if record_spec:
             options = record_spec if isinstance(record_spec, dict) else {}
@@ -365,7 +335,7 @@ class RequestRouter:
                 # DAP: a null dataId means "not watchable", with a
                 # human-readable description — not a request failure
                 return {"dataId": None, "description": str(exc)}
-            return {"dataId": _data_id(name, func),
+            return {"dataId": format_data_id(name, func),
                     "description": "%s (%s, %d bytes at 0x%x)"
                                    % (name, entry.kind, size, addr),
                     "accessTypes": supported_access_types(
@@ -388,7 +358,6 @@ class RequestRouter:
             for watchpoint in list(managed.breakpoints.values()):
                 debugger.unwatch(watchpoint)
             managed.breakpoints.clear()
-            managed.breakpoint_specs.clear()
             results: List[Dict[str, Any]] = []
             for spec in specs:
                 data_id = spec.get("dataId")
@@ -397,7 +366,7 @@ class RequestRouter:
                         raise ProtocolError("breakpoint without dataId",
                                             field="dataId",
                                             reason="missing")
-                    name, func = _split_data_id(data_id)
+                    name, func = parse_data_id(data_id)
                     access = spec.get("accessType")
                     if access is not None:
                         allowed = supported_access_types(debugger)
@@ -429,13 +398,6 @@ class RequestRouter:
                     except PredicateCompileError as exc:
                         raise invalid_condition(spec["condition"], exc)
                     managed.breakpoints[data_id] = watchpoint
-                    # the wire-level spec is what hibernation freezes:
-                    # conditions recompile from text on thaw
-                    managed.breakpoint_specs[data_id] = {
-                        "dataId": data_id, "name": name, "func": func,
-                        "condition": spec.get("condition"),
-                        "when": when, "accessType": access,
-                        "stop": bool(spec.get("stop", True))}
                     results.append({
                         "verified": True, "dataId": data_id,
                         "kind": watchpoint.kind,

@@ -24,9 +24,11 @@ On-disk format (version :data:`FORMAT_VERSION`), one file per session,
 
 The JSON header carries everything needed to rebuild the session
 *around* the checkpoint: program identity (source, language, strategy,
-optimization mode), the breakpoint table as wire-level specs (so
-conditions are recompiled, not pickled), debugger bookkeeping (hit
-lists, output, stop reason), replay-recorder metadata, and the
+optimization mode), one wire-level breakpoint spec per watchpoint (so
+conditions are recompiled, not pickled), the plain-data ``state`` of
+:meth:`~repro.debugger.debugger.Debugger.checkpoint` verbatim (hit
+lists and engine state per watchpoint, log, started flag), server
+bookkeeping (output, stop reason), replay-recorder metadata, and the
 :func:`~repro.replay.recorder.state_digest` of the CPU at freeze time
 — re-verified after restore, so a frozen file that restores to the
 wrong machine state is rejected instead of resumed.
@@ -38,12 +40,17 @@ a torn temp file; the previous intact frozen file survives.  Load
 path: any torn, truncated or digest-mismatched file is moved into a
 ``quarantine/`` subdirectory and reported as a structured
 :class:`~repro.errors.HibernationError` — a corrupt checkpoint is
-never trusted.
+never trusted.  The sha256 trailer detects torn files but does not
+authenticate them, so the payload is unpickled through an allow-list
+that admits only the classes and functions of the modules a machine
+checkpoint is made of.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
+import io
 import json
 import os
 import pickle
@@ -58,7 +65,7 @@ __all__ = ["FORMAT_VERSION", "FrozenSession", "HibernationStore",
            "freeze_managed", "rebuild_managed"]
 
 MAGIC = b"RPRHIB1\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: refuse to parse headers larger than this (a torn length field must
 #: not make us allocate gigabytes)
 MAX_HEADER_BYTES = 1 << 24
@@ -78,14 +85,19 @@ class FrozenSession:
                  record: Optional[Dict[str, Any]],
                  checkpoint_payload: bytes,
                  state_digest: int,
-                 frozen_at: Optional[float] = None):
+                 frozen_at: Optional[float] = None,
+                 session_state: Optional[Dict[str, Any]] = None):
         self.session_id = session_id
         #: how to rebuild the debuggee: source/lang/strategy/optimize/...
         self.program = program
-        #: wire-level breakpoint specs (dataId, condition text, stop)
+        #: wire-level breakpoint specs (dataId, condition text, when,
+        #: accessType, stop, address), one per debugger watchpoint, in
+        #: order
         self.breakpoints = breakpoints
-        #: hit lists, output, stop reason, counters
+        #: the plain-data state of Debugger.checkpoint(), verbatim
         self.debugger_state = debugger_state
+        #: output, stop reason, stopped watchpoint, request counters
+        self.session_state = session_state or {}
         #: replay-recorder settings, or None if not recording
         self.record = record
         #: pickled machine+MRS Checkpoint
@@ -99,6 +111,7 @@ class FrozenSession:
                 "program": self.program,
                 "breakpoints": self.breakpoints,
                 "debugger": self.debugger_state,
+                "session": self.session_state,
                 "record": self.record,
                 "stateDigest": self.state_digest,
                 "frozenAt": self.frozen_at}
@@ -113,7 +126,8 @@ class FrozenSession:
                    record=header.get("record"),
                    checkpoint_payload=payload,
                    state_digest=header["stateDigest"],
-                   frozen_at=header.get("frozenAt"))
+                   frozen_at=header.get("frozenAt"),
+                   session_state=header["session"])
 
 
 def _encode(frozen: FrozenSession) -> bytes:
@@ -163,12 +177,12 @@ def _decode(data: bytes, path: str) -> FrozenSession:
             reason="digest", path=path)
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+        return FrozenSession.from_header(
+            header, data[offset:offset + payload_len])
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise HibernationError(
             "frozen file %s has an undecodable header: %s" % (path, exc),
             reason="format", path=path) from exc
-    payload = data[offset:offset + payload_len]
-    return FrozenSession.from_header(header, payload)
 
 
 class HibernationStore:
@@ -201,9 +215,6 @@ class HibernationStore:
             if name.endswith(self.SUFFIX):
                 ids.append(name[:-len(self.SUFFIX)])
         return sorted(ids)
-
-    def contains(self, session_id: str) -> bool:
-        return os.path.exists(self.path_for(session_id))
 
     # -- save --------------------------------------------------------------
 
@@ -352,6 +363,29 @@ class HibernationStore:
             pass
 
 
+# -- the checkpoint payload ---------------------------------------------------
+
+#: the modules a pickled machine Checkpoint is made of: Checkpoint
+#: itself, MonitoredRegion, and the instruction classes (with
+#: MemAddress, Operand2 and the _cc_*/_op_* functions they hold)
+_PAYLOAD_MODULES = ("repro.machine.checkpoint", "repro.isa.instructions",
+                    "repro.core.regions")
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Unpickles a frozen checkpoint, admitting only names defined in
+    :data:`_PAYLOAD_MODULES` — anyone who can write the hibernation
+    directory must not be able to run code as the server."""
+
+    def find_class(self, module: str, name: str):
+        if module in _PAYLOAD_MODULES and "." not in name:
+            found = getattr(importlib.import_module(module), name, None)
+            if getattr(found, "__module__", None) == module:
+                return found
+        raise pickle.UnpicklingError(
+            "frozen checkpoint names %s.%s" % (module, name))
+
+
 # -- freeze / rebuild ---------------------------------------------------------
 
 def freeze_managed(managed) -> FrozenSession:
@@ -364,11 +398,11 @@ def freeze_managed(managed) -> FrozenSession:
     recorded program spec, or with a live fault plan whose occurrence
     counters cannot be carried across the boundary.
     """
-    from repro.machine.checkpoint import Checkpoint
     from repro.replay.recorder import state_digest
+    from repro.server.protocol import format_data_id
 
     debugger = managed.debugger
-    program = getattr(managed, "program_spec", None)
+    program = managed.program_spec
     if program is None:
         raise HibernationError(
             "session %s has no program spec; cannot rebuild it"
@@ -379,104 +413,111 @@ def freeze_managed(managed) -> FrozenSession:
             "counters cannot hibernate" % managed.id,
             reason="unsupported", session=managed.id)
 
-    checkpoint = Checkpoint(debugger.cpu, output=debugger.session.output,
-                            mrs=debugger.mrs)
-    payload = pickle.dumps(checkpoint, protocol=4)
-
-    breakpoints = []
-    for data_id, watchpoint in managed.breakpoints.items():
-        spec = dict(managed.breakpoint_specs.get(data_id) or
-                    {"dataId": data_id})
-        spec["hits"] = [list(hit) for hit in watchpoint.hits]
-        # predicate/transition engine state, frozen by value so a
-        # thawed session fires the exact same edges a never-hibernated
-        # run would (the predicate itself recompiles from `condition`)
-        disarm = watchpoint.disarm_error
-        spec["engine"] = {
-            "enabled": watchpoint.enabled,
-            "truth": watchpoint.truth,
-            "recordTruth": watchpoint.record_truth,
-            "shadow": {str(word): value
-                       for word, value in watchpoint.shadow.items()},
-            "stats": list(watchpoint.stats.as_tuple()),
-            "disarm": None if disarm is None else {
-                "message": str(disarm),
-                "reason": disarm.context.get("reason")
-                if hasattr(disarm, "context") else None}}
-        breakpoints.append(spec)
-
-    stopped_id = None
-    if debugger.stopped_watch is not None:
-        for data_id, watchpoint in managed.breakpoints.items():
-            if watchpoint is debugger.stopped_watch:
-                stopped_id = data_id
-                break
-
-    state = {"started": debugger._started,
-             "stopReason": debugger.stop_reason,
-             "stoppedWatch": stopped_id,
-             "log": list(debugger.log),
-             "output": list(debugger.session.output),
-             "outputSent": managed.output_sent,
-             "instructionsSpent": managed.instructions_spent}
+    checkpoint, watchpoints, state = debugger.checkpoint()
+    # each watchpoint as the setDataBreakpoints spec that re-creates
+    # it: the predicate recompiles from its source text on thaw
+    breakpoints = [{
+        "dataId": format_data_id(watchpoint.name, watchpoint.func),
+        "condition": None if watchpoint.predicate is None
+        else watchpoint.predicate.source,
+        "when": watchpoint.when, "accessType": watchpoint.access,
+        "stop": watchpoint.action == "stop",
+        "address": watchpoint.addr} for watchpoint in watchpoints]
+    stopped = debugger.stopped_watch
+    session = {"stopReason": debugger.stop_reason,
+               "stoppedWatch": watchpoints.index(stopped)
+               if stopped in watchpoints else None,
+               "output": list(debugger.session.output),
+               "outputSent": managed.output_sent,
+               "instructionsSpent": managed.instructions_spent}
 
     record = None
     recorder = debugger.recorder
     if recorder is not None:
         record = {"stride": recorder.stride,
                   "maxKeyframes": recorder.max_keyframes,
-                  "maxTrace": recorder.trace.max_records
-                  if hasattr(recorder, "trace") else None}
+                  "maxTrace": recorder.trace.max_records}
 
     return FrozenSession(session_id=managed.id, program=program,
                          breakpoints=breakpoints, debugger_state=state,
-                         record=record, checkpoint_payload=payload,
+                         session_state=session, record=record,
+                         checkpoint_payload=pickle.dumps(checkpoint,
+                                                         protocol=4),
                          state_digest=state_digest(debugger.cpu))
 
 
 def rebuild_managed(frozen: FrozenSession):
     """Thaw *frozen*: rebuild the debuggee and restore its state.
 
-    Returns ``(debugger, breakpoints, specs)`` where *breakpoints* is
-    the ``dataId -> Watchpoint`` table and *specs* the wire-level specs
-    to re-arm :attr:`ManagedSession.breakpoint_specs` with.  The
-    program is recompiled from its recorded identity, the pickled
-    checkpoint restored over it, and the CPU control-state digest
-    re-verified — any mismatch raises :class:`HibernationError`
-    (reason ``"digest"``) instead of resuming a divergent session.
+    Returns ``(debugger, breakpoints)`` where *breakpoints* is the
+    ``dataId -> Watchpoint`` table.  The program is recompiled from its
+    recorded identity, each watchpoint built by
+    :meth:`~repro.debugger.debugger.Debugger.new_watchpoint` and bound
+    to its region in the frozen MRS, the snapshot applied by
+    :meth:`~repro.debugger.debugger.Debugger.restore`, and the CPU
+    control-state digest re-verified — any mismatch raises
+    :class:`HibernationError` (reason ``"digest"``) instead of resuming
+    a divergent session.
     """
-    from repro.debugger.debugger import Debugger, Watchpoint
-    from repro.errors import PredicateError
+    from repro.errors import ReproError
     from repro.replay.recorder import state_digest
-    from repro.watchpoints.engine import WatchStats
-    from repro.watchpoints.predicate import (compile_predicate,
-                                             condition_to_expr)
+    from repro.server.manager import build_debugger
+    from repro.server.protocol import parse_data_id
+    from repro.watchpoints.predicate import condition_to_expr
 
-    program = frozen.program
     try:
-        debugger = Debugger.for_source(
-            program["source"], lang=program.get("lang", "C"),
-            strategy=program.get("strategy", "BitmapInlineRegisters"),
-            optimize=program.get("optimize") or None,
-            monitor_reads=bool(program.get("monitorReads", False)))
+        checkpoint = _PayloadUnpickler(
+            io.BytesIO(frozen.checkpoint_payload)).load()
+        regions = {region.key(): region
+                   for region in checkpoint.mrs_state["regions"]}
+    except Exception as exc:
+        raise HibernationError(
+            "frozen session %s carries an undecodable checkpoint"
+            % frozen.session_id, reason="format",
+            session=frozen.session_id) from exc
+    try:
+        debugger = build_debugger(frozen.program)
     except Exception as exc:
         raise HibernationError(
             "frozen session %s's program can no longer be rebuilt: %s"
             % (frozen.session_id, exc), reason="rebuild",
             session=frozen.session_id) from exc
 
-    try:
-        checkpoint = pickle.loads(frozen.checkpoint_payload)
-    except Exception as exc:
-        raise HibernationError(
-            "frozen session %s carries an undecodable checkpoint"
-            % frozen.session_id, reason="format",
-            session=frozen.session_id) from exc
+    # the checkpoint already carries the MRS bookkeeping and patched
+    # code, so nothing is armed again: each watchpoint only binds to
+    # the region it shares in the frozen MRS
+    breakpoints: Dict[str, Any] = {}
+    watchpoints = []
+    for spec in frozen.breakpoints:
+        data_id = spec["dataId"]
+        try:
+            name, func = parse_data_id(data_id)
+            watchpoint = debugger.new_watchpoint(
+                name, func, action="stop" if spec["stop"] else "log",
+                expr=condition_to_expr(spec["condition"])
+                if spec["condition"] else None,
+                when=spec["when"], access=spec["accessType"])
+        except ReproError as exc:
+            raise HibernationError(
+                "frozen session %s's breakpoint %s can no longer be "
+                "rebuilt: %s" % (frozen.session_id, data_id, exc),
+                reason="rebuild", session=frozen.session_id,
+                dataId=data_id) from exc
+        # a frame-local resolves against the frame it was watched in,
+        # not against the fresh machine's
+        watchpoint.addr = spec["address"]
+        watchpoint.region = regions.get(watchpoint.region_key)
+        if watchpoint.region is None:
+            raise HibernationError(
+                "frozen session %s has no monitored region for %s"
+                % (frozen.session_id, data_id), reason="digest",
+                session=frozen.session_id, dataId=data_id)
+        watchpoints.append(watchpoint)
+        breakpoints[data_id] = watchpoint
 
-    state = frozen.debugger_state
-    checkpoint.restore(debugger.cpu, output=debugger.session.output,
-                       mrs=debugger.mrs)
-    debugger.session.output[:] = list(state.get("output") or [])
+    debugger.restore((checkpoint, watchpoints, frozen.debugger_state))
+    session = frozen.session_state
+    debugger.session.output[:] = session["output"]
 
     observed = state_digest(debugger.cpu)
     if observed != frozen.state_digest:
@@ -487,71 +528,9 @@ def rebuild_managed(frozen: FrozenSession):
             expected_digest=frozen.state_digest,
             observed_digest=observed)
 
-    # rebuild the watchpoint table against the *restored* regions: the
-    # checkpoint already carries the MRS bookkeeping and patched code,
-    # so watch() must not run again — only the host-side objects are
-    # reconstructed, with conditions recompiled from their wire text
-    regions = {region.key(): region for region in debugger.mrs.regions}
-    breakpoints: Dict[str, Any] = {}
-    specs: Dict[str, Dict[str, Any]] = {}
-    for spec in frozen.breakpoints:
-        data_id = spec["dataId"]
-        name, func = spec.get("name"), spec.get("func")
-        entry, addr, size = debugger.resolve(name, func)
-        key = (addr, (size + 3) & ~3)
-        region = regions.get(key)
-        if region is None:
-            raise HibernationError(
-                "frozen session %s has no monitored region for %s"
-                % (frozen.session_id, data_id), reason="digest",
-                session=frozen.session_id, dataId=data_id)
-        predicate = None
-        if spec.get("condition"):
-            predicate = compile_predicate(
-                condition_to_expr(spec["condition"]),
-                symtab=debugger.symtab, func=func)
-        action = "stop" if spec.get("stop", True) else "log"
-        watchpoint = Watchpoint(debugger, name, entry, region, action,
-                                None, None, func, predicate=predicate,
-                                when=spec.get("when"),
-                                access=spec.get("accessType"),
-                                addr=addr, size=size)
-        watchpoint.hits = [tuple(hit) for hit in spec.get("hits") or []]
-        engine_state = spec.get("engine")
-        if engine_state is not None:
-            # restore the predicate/transition state by value: shadow
-            # truth, $old words and counters continue exactly where the
-            # freeze left them
-            watchpoint.enabled = bool(engine_state.get("enabled", True))
-            watchpoint.truth = engine_state.get("truth")
-            watchpoint.record_truth = engine_state.get("recordTruth")
-            watchpoint.shadow = {
-                int(word): value for word, value in
-                (engine_state.get("shadow") or {}).items()}
-            stats = engine_state.get("stats")
-            if stats:
-                watchpoint.stats = WatchStats.from_tuple(stats)
-            disarm = engine_state.get("disarm")
-            if disarm is not None:
-                watchpoint.disarm_error = PredicateError(
-                    disarm.get("message") or "disarmed before freeze",
-                    reason=disarm.get("reason"))
-        else:
-            # a pre-v4 frozen file: seed from the restored memory (it
-            # is at the freeze point, so the seeded shadow matches)
-            debugger.engine.seed(watchpoint)
-        debugger.watchpoints.append(watchpoint)
-        ref = debugger._region_refs.setdefault(key, [region, 0])
-        ref[1] += 1
-        breakpoints[data_id] = watchpoint
-        specs[data_id] = {key_: value for key_, value in spec.items()
-                          if key_ != "hits"}
-
-    debugger._started = bool(state.get("started"))
-    debugger.log = list(state.get("log") or [])
-    debugger.stop_reason = state.get("stopReason")
-    if state.get("stoppedWatch") in breakpoints:
-        debugger.stopped_watch = breakpoints[state["stoppedWatch"]]
+    debugger.stop_reason = session["stopReason"]
+    if session["stoppedWatch"] is not None:
+        debugger.stopped_watch = watchpoints[session["stoppedWatch"]]
 
     record = frozen.record
     if record is not None:
@@ -562,4 +541,4 @@ def rebuild_managed(frozen: FrozenSession):
         debugger.record(stride=record.get("stride"),
                         max_keyframes=record.get("maxKeyframes"),
                         max_trace=record.get("maxTrace"))
-    return debugger, breakpoints, specs
+    return debugger, breakpoints

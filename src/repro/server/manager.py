@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.debugger.debugger import Debugger
 from repro.errors import HibernationError, ServerError
 
-__all__ = ["ManagedSession", "SessionManager"]
+__all__ = ["ManagedSession", "SessionManager", "build_debugger"]
 
 #: subscriber signature: (event_name, body_dict)
 EventEmitter = Callable[[str, Dict[str, Any]], None]
@@ -54,6 +54,16 @@ EventEmitter = Callable[[str, Dict[str, Any]], None]
 RETRY_AFTER_CAPACITY = 0.5
 RETRY_AFTER_DRAINING = 1.0
 RETRY_AFTER_INITIALIZING = 0.05
+
+
+def build_debugger(program: Dict[str, Any], faults=None) -> Debugger:
+    """Compile a session's debuggee from its program spec.  ``launch``
+    and hibernation thaw both build through here, so a thawed session
+    is compiled exactly as it was launched."""
+    return Debugger.for_source(
+        program["source"], lang=program["lang"],
+        strategy=program["strategy"], optimize=program["optimize"],
+        monitor_reads=program["monitorReads"], faults=faults)
 
 
 class ManagedSession:
@@ -71,11 +81,9 @@ class ManagedSession:
         self.emitters: List[EventEmitter] = []
         #: dataId -> live Watchpoint, as set by setDataBreakpoints
         self.breakpoints: Dict[str, Any] = {}
-        #: dataId -> the wire spec that created it (what hibernation
-        #: freezes so conditions are recompiled, never pickled)
-        self.breakpoint_specs: Dict[str, Dict[str, Any]] = {}
-        #: how to rebuild the debuggee (source, lang, strategy, ...);
-        #: None for sessions the server cannot hibernate
+        #: what :func:`build_debugger` builds the debuggee from (source,
+        #: lang, strategy, ...); None for sessions the server cannot
+        #: hibernate
         self.program_spec: Optional[Dict[str, Any]] = None
         #: chars of debuggee output already streamed as `output` events
         self.output_sent = 0
@@ -322,7 +330,7 @@ class SessionManager:
             from repro.server.hibernate import rebuild_managed
             try:
                 frozen = self.store.load(session_id)
-                debugger, breakpoints, specs = rebuild_managed(frozen)
+                debugger, breakpoints = rebuild_managed(frozen)
             except HibernationError as exc:
                 if exc.reason in ("torn", "digest", "format"):
                     # the file was quarantined: the id no longer resolves
@@ -337,9 +345,8 @@ class SessionManager:
                 raise error from exc
             managed = ManagedSession(session_id, debugger)
             managed.breakpoints = breakpoints
-            managed.breakpoint_specs = specs
             managed.program_spec = dict(frozen.program)
-            state = frozen.debugger_state
+            state = frozen.session_state
             managed.output_sent = int(state.get("outputSent") or 0)
             managed.instructions_spent = \
                 int(state.get("instructionsSpent") or 0)

@@ -37,6 +37,7 @@ capability set (see :mod:`repro.server.handlers`).
 from __future__ import annotations
 
 import json
+import re
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -63,11 +64,13 @@ SUPPORTED_VERSIONS = (1, 2, 3, 4)
 MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct(">I")
+_DATA_ID_RE = re.compile(r"^w:(?P<name>[^@]+)@(?P<func>.*)$")
 
 __all__ = ["PROTOCOL_VERSION", "SUPPORTED_VERSIONS", "MAX_FRAME_BYTES",
            "Request", "Response", "Event", "Message",
            "encode", "decode", "read_frame", "write_frame",
-           "read_message", "write_message", "error_payload", "check_type"]
+           "read_message", "write_message", "error_payload", "check_type",
+           "format_data_id", "parse_data_id"]
 
 
 # -- message types ------------------------------------------------------------
@@ -138,6 +141,20 @@ def check_type(value: Any, kinds, name: str, where: str) -> Any:
                                                type(value).__name__),
             field=name, reason="type")
     return value
+
+
+def format_data_id(name: str, func: Optional[str]) -> str:
+    """The ``dataId`` naming a watchable *name* (in *func*'s frame)."""
+    return "w:%s@%s" % (name, func or "")
+
+
+def parse_data_id(data_id: str):
+    """``(name, func)`` back from a :func:`format_data_id`."""
+    match = _DATA_ID_RE.match(data_id)
+    if match is None:
+        raise ProtocolError("malformed dataId %r" % (data_id,),
+                            field="dataId", reason="data_id")
+    return match.group("name"), (match.group("func") or None)
 
 
 def _require(obj: Dict[str, Any], name: str, kinds, where: str) -> Any:

@@ -77,13 +77,10 @@ def export_recording(recorder,
     trace_bytes = trace.to_bytes()
     keyframes = []
     for keyframe in recorder.keyframes:
-        # checkpoint is the (machine snapshot, host extras) pair the
-        # debugger builds; only the snapshot is exportable — and only
-        # it is needed to anchor analytics in execution time
-        snapshot = keyframe.checkpoint[0] \
-            if isinstance(keyframe.checkpoint, tuple) \
-            else keyframe.checkpoint
-        payload = pickle.dumps(snapshot, protocol=4)
+        # of the debugger's (machine snapshot, watchpoints, state)
+        # triple only the machine snapshot is exported — and only it
+        # is needed to anchor analytics in execution time
+        payload = pickle.dumps(keyframe.checkpoint[0], protocol=4)
         keyframes.append(KeyframeExport(
             keyframe.index, keyframe.trace_pos, keyframe.digest,
             payload, hashlib.sha256(payload).hexdigest()))

@@ -6,9 +6,9 @@ questions that span many recordings — hottest written regions, write
 densities, overhead regressions, last-write provenance — are answered
 from the store alone, with no live debuggee.
 
-``last_write`` provenance intentionally mirrors
-:meth:`repro.replay.trace.WriteTrace.last_write_to` record-for-record:
-a stored trace answers exactly what the in-memory
+``last_write`` provenance walks the trace with
+:meth:`repro.replay.trace.WriteTrace.last_write`, as replay does: a
+stored trace answers exactly what the in-memory
 :class:`~repro.replay.controller.ReplayController` would have answered
 on the live recording (the e2e test in ``tests/test_store.py`` holds
 the two byte-for-byte equal).
@@ -16,10 +16,10 @@ the two byte-for-byte equal).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.errors import StoreError
-from repro.replay.trace import WriteRecord, WriteTrace
+from repro.replay.trace import WriteTrace
 
 __all__ = ["StoredRun", "list_runs", "get_run", "load_trace",
            "hot_regions", "write_stats", "regress", "provenance",
@@ -269,24 +269,6 @@ def regress(conn, workload: str,
 # -- provenance ---------------------------------------------------------------
 
 
-def _last_write(trace: WriteTrace, start: int, size: int,
-                before_index: Optional[int] = None
-                ) -> Optional[Tuple[int, WriteRecord]]:
-    """(absolute position, record) of the trace's answer — the same
-    newest-first walk as :meth:`WriteTrace.last_write_to`, so a stored
-    trace and the live recorder agree record-for-record."""
-    position = trace.total
-    for record in reversed(list(trace)):
-        position -= 1
-        if record.is_read or not record.overlaps(start, size):
-            continue
-        if before_index is not None and \
-                record.stop_index > before_index:
-            continue
-        return position, record
-    return None
-
-
 def provenance(conn, addr: int, size: int,
                workload: Optional[str] = None,
                run_id: Optional[int] = None,
@@ -305,8 +287,7 @@ def provenance(conn, addr: int, size: int,
     out: List[Dict[str, Any]] = []
     for run in runs:
         trace = load_trace(conn, run.id)
-        answer = _last_write(trace, addr, size,
-                             before_index=before_index)
+        answer = trace.last_write(addr, size, before_index=before_index)
         entry: Dict[str, Any] = {
             "run": run.id, "workload": run.workload,
             "scale": run.scale, "seed": run.seed,

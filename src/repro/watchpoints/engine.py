@@ -29,8 +29,9 @@ the watchpoint — recorded on ``watchpoint.disarm_error`` and in the
 debugger log — rather than crashing the session.
 
 The engine's per-watchpoint state (shadow truth, shadow words,
-counters, disarm status) is snapshotted by value into every debugger
-checkpoint, so replay keyframe restores rewind it and re-execution
+counters, cached truth, disarm status) is captured by value in every
+:meth:`~repro.debugger.debugger.Debugger.checkpoint`, so replay
+keyframe restores and hibernation thaws rewind it and re-execution
 re-fires transitions deterministically.  For ``reverse_continue`` the
 engine re-evaluates predicates *from the recorded write trace* — each
 :class:`~repro.replay.trace.WriteRecord` carries the old and new word
@@ -43,7 +44,7 @@ answer: any matching access to the watched bytes counts as a firing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import PredicateError
 from repro.isa.instructions import to_signed
@@ -296,23 +297,7 @@ class WatchpointEngine:
         self.debugger.log.append(
             "watchpoint %s disarmed: %s" % (watchpoint.name, exc))
 
-    # -- checkpoint integration --------------------------------------------
-
-    def states(self, watchpoints) -> List[tuple]:
-        """Snapshot per-watchpoint engine state by value (watchpoint
-        objects are shared across checkpoints by reference)."""
-        return [(watchpoint.enabled, watchpoint.truth,
-                 watchpoint.record_truth, dict(watchpoint.shadow),
-                 watchpoint.stats.as_tuple(), watchpoint.disarm_error)
-                for watchpoint in watchpoints]
-
-    def restore_states(self, watchpoints, states) -> None:
-        for watchpoint, state in zip(watchpoints, states):
-            (watchpoint.enabled, watchpoint.truth,
-             watchpoint.record_truth, shadow, stats,
-             watchpoint.disarm_error) = state
-            watchpoint.shadow = dict(shadow)
-            watchpoint.stats = WatchStats.from_tuple(stats)
+    # -- recording ---------------------------------------------------------
 
     def mark_record_start(self) -> None:
         """Recording begins: pin every watchpoint's transition truth as

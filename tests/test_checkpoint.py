@@ -1,5 +1,7 @@
 """Tests for checkpoint/restore and replayed execution (§5)."""
 
+import json
+
 from repro.debugger import Debugger
 from repro.machine.checkpoint import Checkpoint
 from repro.minic.codegen import compile_source
@@ -200,6 +202,36 @@ class TestDebuggerReplay:
         assert watchpoint.last_value() == 3
         # steps then advances past 3 without matching again
         assert debugger.run() == "exited"
+
+    def test_state_survives_json_round_trip(self):
+        """The state half of a debugger checkpoint is plain data:
+        restore() takes it back from JSON with every watchpoint's hits
+        and engine state, a disarmed one's error included."""
+        debugger = Debugger.for_source(PROGRAM, optimize=None)
+        debugger.watch("steps", action="stop", expr="$value >= 2",
+                       when="rise")
+        # grid[7] becomes 7 in the first advance(): division by zero
+        broken = debugger.watch("grid[7]", expr="100 / ($value - 7) > 0")
+
+        def facts():
+            return [(list(w.hits), w.enabled, w.truth, w.record_truth,
+                     dict(w.shadow), w.stats.as_tuple(), w.cached_truth,
+                     None if w.disarm_error is None else
+                     (w.disarm_error.args[0], w.disarm_error.reason))
+                    for w in debugger.watchpoints] + [list(debugger.log)]
+
+        assert debugger.run() == "watch"
+        assert broken.disarm_error.reason == "div_zero"
+        snapshot, watchpoints, state = debugger.checkpoint()
+        expected = facts()
+        assert debugger.run() == "exited"
+        assert facts() != expected
+        output = list(debugger.output)
+        debugger.restore((snapshot, watchpoints,
+                          json.loads(json.dumps(state))))
+        assert facts() == expected
+        assert debugger.run() == "exited"
+        assert debugger.output == output
 
     def test_region_state_restored(self):
         debugger = Debugger.for_source(PROGRAM, optimize=None)

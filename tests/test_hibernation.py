@@ -12,6 +12,8 @@ and verify the resumed run matches a never-hibernated one.
 """
 
 import os
+import pathlib
+import pickle
 import signal
 import socket
 import subprocess
@@ -25,6 +27,7 @@ from repro.faults import CLIENT_SEND, HIBERNATE_LOAD, HIBERNATE_WRITE, \
     FaultPlan
 from repro.server import (DebugClient, DebugServer, RemoteError,
                           ServerConfig)
+from repro.server import hibernate
 from repro.server.hibernate import (FORMAT_VERSION, FrozenSession,
                                     HibernationStore)
 from repro.server.manager import (RETRY_AFTER_CAPACITY,
@@ -182,6 +185,19 @@ class TestHibernationStore:
         # either way the file must be rejected and quarantined
         assert excinfo.value.reason in ("format", "digest")
         assert excinfo.value.quarantined is not None
+
+    def test_old_format_version_refused(self, hdir, monkeypatch):
+        """A file in the previous layout, intact down to its sha256
+        trailer, is refused rather than misread."""
+        store = HibernationStore(hdir)
+        monkeypatch.setattr(hibernate, "FORMAT_VERSION", 1)
+        store.save(sample_frozen())
+        monkeypatch.undo()
+        assert FORMAT_VERSION == 2
+        with pytest.raises(HibernationError) as excinfo:
+            store.load("s1")
+        assert excinfo.value.reason == "format"
+        assert excinfo.value.context["version"] == 1
 
     def test_write_fault_leaves_previous_file_intact(self, hdir):
         """The crash-mid-write simulation: an injected hibernate.write
@@ -416,16 +432,17 @@ class TestPredicateWatchpointHibernation:
             pre_hits = self.hit_stream(client)
             assert client.hibernate(session_id)["hibernated"] is True
 
-            # the frozen file carries the engine state verbatim
+            # the frozen file carries the engine state verbatim, in
+            # the debugger snapshot's per-watchpoint state
             frozen = HibernationStore(hdir).load(session_id)
             spec = frozen.breakpoints[0]
             assert spec["condition"] == self.CONDITION
             assert spec["when"] == "rise"
             assert spec["accessType"] == "read"
-            engine = spec["engine"]
+            engine = frozen.debugger_state["watchpoints"][0]
             assert engine["enabled"] is True
             assert engine["truth"] is True
-            assert 4 in list(engine["shadow"].values())
+            assert 4 in [value for _word, value in engine["shadow"]]
             assert engine["disarm"] is None
             assert engine["stats"][0] > 0  # hits observed pre-freeze
 
@@ -437,6 +454,117 @@ class TestPredicateWatchpointHibernation:
             assert exit_stop["exitCode"] == 0
             assert pre_hits + self.hit_stream(client) == ref_hits
             assert client.evaluate(session_id, "total") == ref_total
+
+
+#: SOURCE plus a global nothing writes
+PRUNE_SOURCE = "int quiet;" + SOURCE
+
+LOCAL_SOURCE = """
+int main() {
+    int t;
+    register int i;
+    t = 0;
+    for (i = 0; i < 10; i = i + 1) { t = t + i; }
+    print(t);
+    return 0;
+}
+"""
+
+
+class TestThawMatchesDebuggerSnapshot:
+    """Thaw builds watchpoints through ``Debugger.watch()``'s own code
+    and restores the debugger's own snapshot, so a thawed session goes
+    on exactly as a never-hibernated one."""
+
+    def watched_run(self, server, client, source, name, freeze,
+                    func=None, condition=None, steps=0, **launch):
+        """Watch *name* (non-stopping), continue 60 instructions,
+        maybe hibernate and resume, run to exit; returns the
+        watchpoint's engine facts and the monitorHit stream."""
+        session_id = client.launch(source, **launch)
+        if steps:
+            client.request("step", {"sessionId": session_id,
+                                    "count": steps})
+        data_id = client.data_breakpoint_info(session_id, name,
+                                              func)["dataId"]
+        client.set_data_breakpoints(session_id, [{
+            "dataId": data_id, "stop": False, "condition": condition}])
+        client.cont(session_id, quota=60)
+        if freeze:
+            assert client.hibernate(session_id)["hibernated"] is True
+            assert client.resume(session_id)["thawed"] is True
+        assert run_to_exit(client, session_id)["exitCode"] == 0
+        watchpoint = server.manager.get(session_id).breakpoints[data_id]
+        return ((watchpoint.invariant, watchpoint.stats.as_tuple(),
+                 list(watchpoint.hits)),
+                [(hit["address"], hit["value"])
+                 for hit in client.pop_events("monitorHit")])
+
+    def test_pruned_predicate_survives_hibernate_thaw(self, server):
+        with client_for(server) as client:
+            client.initialize()
+            reference, thawed = [self.watched_run(
+                server, client, PRUNE_SOURCE, "total", freeze,
+                condition="quiet == 0", optimize="ipa")[0]
+                for freeze in (False, True)]
+        invariant, stats, hits = reference
+        # `quiet` is never written: the pruner answers every one of
+        # total's 21 writes from the arm-time truth
+        assert invariant is True
+        assert stats[2] == 0 and stats[6] == 21  # evals, pruned
+        assert len(hits) == 21
+        assert thawed == reference
+
+    def test_frame_local_watch_survives_hibernate_thaw(self, server):
+        """A frame-local resolves against the frame it was watched in,
+        not against the freshly rebuilt machine's."""
+        with client_for(server) as client:
+            client.initialize()
+            reference, thawed = [self.watched_run(
+                server, client, LOCAL_SOURCE, "t", freeze, func="main",
+                steps=3)[1] for freeze in (False, True)]
+        assert reference[-1][1] == 45
+        assert thawed == reference
+
+    def test_breakpoints_replaceable_after_thaw(self, server):
+        """Thawed watchpoints share regions exactly as before the
+        freeze: replacing the breakpoint set frees and re-arms them."""
+        with client_for(server) as client:
+            client.initialize()
+            session_id = launch_with_watch(client)
+            client.cont(session_id, quota=60)
+            assert client.hibernate(session_id)["hibernated"] is True
+            info = client.data_breakpoint_info(session_id, "total")
+            assert client.set_data_breakpoints(session_id, [
+                {"dataId": info["dataId"]}])[0]["verified"] is True
+            assert run_to_exit(client, session_id)["exitCode"] == 0
+            debugger = server.manager.get(session_id).debugger
+            assert len(debugger.mrs.regions) == 1
+
+    def test_crafted_payload_runs_nothing(self, hdir, tmp_path):
+        """The sha256 trailer authenticates nothing: a payload that
+        reduces to a call must be refused by the unpickler's
+        allow-list, before anything it names runs."""
+        marker = tmp_path / "marker"
+
+        class Touch:
+            def __reduce__(self):
+                return (pathlib.Path.touch, (pathlib.Path(marker),))
+
+        HibernationStore(hdir).save(FrozenSession(
+            session_id="s1", program={"source": SOURCE}, breakpoints=[],
+            debugger_state={}, record=None,
+            checkpoint_payload=pickle.dumps(Touch()), state_digest=0))
+        with DebugServer(config=ServerConfig(
+                hibernate_dir=hdir)).start() as server:
+            with client_for(server) as client:
+                client.initialize()
+                with pytest.raises(RemoteError) as excinfo:
+                    client.request("resume", {"sessionId": "s1"},
+                                   retries=0)
+        assert not marker.exists()
+        assert excinfo.value.context["reason"] == "resume_failed"
+        assert excinfo.value.context["cause"] == "format"
 
 
 # -- client resilience ---------------------------------------------------------
