@@ -402,10 +402,7 @@ class CPU:
 
     def fast_stats(self) -> Dict[str, int]:
         """Fast-path telemetry: cached blocks, decodes, runs, retires."""
-        if self._blocks is None:
-            return {"cached_blocks": 0, "decodes": 0, "invalidations": 0,
-                    "block_runs": 0, "fast_retired": 0}
-        return self._blocks.stats()
+        return self.block_cache().stats()
 
     def stop(self, exit_code: int = 0) -> None:
         self.running = False

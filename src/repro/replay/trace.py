@@ -192,27 +192,39 @@ class WriteTrace:
     @classmethod
     def from_bytes(cls, data: bytes,
                    max_records: Optional[int] = None) -> "WriteTrace":
+        """Decode one canonical trace.  Raises ValueError unless *data*
+        is exactly a v1/v2 header, its metadata object and the ``count``
+        records the header announces."""
+        if len(data) < _HEADER.size:
+            raise ValueError("write trace shorter than its header")
         magic, version, base, count = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC or version not in (_V1, _VERSION):
             raise ValueError("not a v%d/v%d write trace" % (_V1, _VERSION))
-        trace = cls(max_records=max_records
-                    if max_records is not None else max(count, 1))
-        trace.base = base
-        offset = _HEADER.size
+        offset, meta_len = _HEADER.size, 0
         if version >= 2:
+            if len(data) < offset + _META_LEN.size:
+                raise ValueError("write trace shorter than its header")
             (meta_len,) = _META_LEN.unpack_from(data, offset)
             offset += _META_LEN.size
             if meta_len > MAX_META_BYTES:
                 raise ValueError("implausible trace metadata length %d"
                                  % meta_len)
-            if meta_len:
-                trace.meta = json.loads(
-                    data[offset:offset + meta_len].decode("utf-8"))
-                offset += meta_len
-        for _ in range(count):
+        size = offset + meta_len + count * _RECORD.size
+        if len(data) != size:
+            raise ValueError("write trace is %d bytes, its header says %d"
+                             % (len(data), size))
+        trace = cls(max_records=max_records
+                    if max_records is not None else max(count, 1))
+        trace.base = base
+        if meta_len:
+            meta = json.loads(data[offset:offset + meta_len].decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise ValueError("trace metadata is not a JSON object")
+            trace.meta = meta
+            offset += meta_len
+        for start in range(offset, size, _RECORD.size):
             trace._records.append(WriteRecord.unpack(
-                data[offset:offset + _RECORD.size]))
-            offset += _RECORD.size
+                data[start:start + _RECORD.size]))
         return trace
 
     def digest(self) -> int:

@@ -1,10 +1,10 @@
 """Crash-safe session hibernation: frozen sessions on disk.
 
-ROADMAP item 1's path from a handful of live sessions to millions runs
-through checkpoint hibernation — an idle session is *frozen* (its
-digest-verified :class:`~repro.machine.checkpoint.Checkpoint` plus the
-server-side bookkeeping the wire protocol needs) to a file, destroyed
-in memory, and *thawed* on the next request that names its id.  The
+Checkpoint hibernation keeps only the working set of sessions in
+memory: an idle session is *frozen* (its digest-verified
+:class:`~repro.machine.checkpoint.Checkpoint` plus the server-side
+bookkeeping the wire protocol needs) to a file, destroyed in memory,
+and *thawed* on the next request that names its id.  The
 invariant this module enforces is the paper's soundness guarantee
 carried across the freeze/thaw boundary: a resumed session either
 continues **byte-identically** to a never-hibernated run, or resuming

@@ -106,13 +106,19 @@ def get_run(conn, run_id: int) -> StoredRun:
 
 
 def load_trace(conn, run_id: int) -> WriteTrace:
-    """Decode one stored trace (raises on an unknown run)."""
+    """Decode one stored trace (raises on an unknown run or on stored
+    bytes that do not decode)."""
     row = conn.execute("SELECT trace FROM runs WHERE id = ?",
                        (run_id,)).fetchone()
     if row is None:
         raise StoreError("no stored run %d" % run_id,
                          reason="unknown_run", run=run_id)
-    return WriteTrace.from_bytes(row[0])
+    try:
+        return WriteTrace.from_bytes(row[0])
+    except ValueError as exc:
+        raise StoreError("stored trace of run %d is corrupt: %s"
+                         % (run_id, exc), reason="corrupt",
+                         run=run_id) from exc
 
 
 # -- hot regions --------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.asm.assembler import assemble
 from repro.asm.loader import load_program
 from repro.debugger import Debugger
 from repro.isa.instructions import NopInsn
+from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.cpu import SimulationLimit, Watchdog
 from repro.minic.codegen import compile_source
 from repro.replay import state_digest
@@ -167,6 +168,53 @@ class TestInvalidation:
                 assert cpu.fast_stats()["invalidations"] >= 1
                 assert cpu.fast_stats()["block_runs"] > 0
         assert finals[0] == finals[1]
+
+
+class TestSharedCode:
+    """Every CPU in a process compiles through one bounded table of code
+    objects, keyed by the whole generated block source."""
+
+    def test_each_machine_runs_its_own_code(self):
+        # miss penalties and the cache index mask are baked into the
+        # source, so one process running the same program on three
+        # machines must still match the slow loop on each
+        spec = WORKLOADS["030.matrix300"]
+        asm = compile_source(workload_source("030.matrix300", 0.1),
+                             lang=spec.lang)
+        machines = [
+            {},
+            {"costs": DEFAULT_COSTS.copy(dmiss_penalty=13,
+                                         imiss_penalty=11)},
+            {"cache_bytes": 2048},
+        ]
+        for options in machines:
+            states = []
+            for fast in (False, True):
+                loaded = load_program(assemble(asm), fast_path=fast,
+                                      **options)
+                loaded.run()
+                states.append(cpu_state(loaded.cpu))
+            assert states[1] == states[0], options
+
+    def test_cpus_share_code_but_not_counters(self):
+        spec = WORKLOADS["023.eqntott"]
+        asm = compile_source(workload_source("023.eqntott", 0.1),
+                             lang=spec.lang)
+        first = load_program(assemble(asm))
+        first.run()
+        before = first.cpu.fast_stats()
+        second = load_program(assemble(asm))
+        second.run()
+        # each CPU's blocks count into its own cache
+        assert first.cpu.fast_stats() == before
+        ones = first.cpu.block_cache().blocks
+        twos = second.cpu.block_cache().blocks
+        shared = [pc for pc, block in ones.items()
+                  if block is not None and twos.get(pc) is not None]
+        assert shared
+        for pc in shared:
+            assert ones[pc].fn.__code__ is twos[pc].fn.__code__
+            assert ones[pc].fn is not twos[pc].fn
 
 
 SEEDED_SOURCE = """

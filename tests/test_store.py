@@ -122,6 +122,50 @@ class TestTraceMeta:
         with pytest.raises(ValueError):
             WriteTrace.from_bytes(data)
 
+    def torn(self, case):
+        """Bytes that are not exactly one trace, by *case*."""
+        good = WriteTrace(meta={"seed": 1})
+        for record in self.records():
+            good.append(record)
+        data = good.to_bytes()
+        header = struct.Struct(">4sHQQ")
+
+        def with_meta(meta):
+            return (header.pack(b"RPWT", 2, 0, 0)
+                    + struct.Struct(">I").pack(len(meta)) + meta)
+        return {
+            "empty": b"",
+            "short_header": data[:header.size - 3],
+            "short_meta_length": data[:header.size + 2],
+            "cut_record": data[:-5],
+            "trailing_bytes": data + b"\0",
+            "count_past_data": header.pack(b"RPWT", 2, 0, 5)
+            + data[header.size:],
+            "meta_not_object": with_meta(b'["seed"]'),
+            "meta_not_json": with_meta(b'{"seed"'),
+        }[case]
+
+    TORN = ("empty", "short_header", "short_meta_length", "cut_record",
+            "trailing_bytes", "count_past_data", "meta_not_object",
+            "meta_not_json")
+
+    @pytest.mark.parametrize("case", TORN)
+    def test_torn_or_crafted_bytes_are_refused(self, case):
+        with pytest.raises(ValueError):
+            WriteTrace.from_bytes(self.torn(case))
+
+    @pytest.mark.parametrize("case", TORN)
+    def test_store_reports_a_torn_trace_as_corrupt(self, store, case):
+        _debugger, recorder = record_run()
+        run_id = store.ingest_recorder(recorder, workload="w").run_id
+        with store.connection.transaction() as conn:
+            conn.execute("UPDATE runs SET trace = ? WHERE id = ?",
+                         (self.torn(case), run_id))
+        with pytest.raises(StoreError) as info:
+            store.trace(run_id)
+        assert info.value.reason == "corrupt"
+        assert info.value.context["run"] == run_id
+
 
 # -- ingest: round-trip, idempotence, dedup --------------------------------
 
