@@ -15,6 +15,7 @@ from repro.machine.cache import DEFAULT_CACHE_BYTES, DirectMappedCache
 from repro.machine.costs import CostModel, DEFAULT_COSTS
 from repro.machine.cpu import CPU, CodeSpace
 from repro.machine.memory import Memory
+from repro.machine.state import ProgramImage
 from repro.machine.traps import TRAP_EXIT, install_default_handlers
 
 DEFAULT_STACK_TOP = 0x7F00C000
@@ -64,6 +65,7 @@ def load_program(program: Program,
     for insn in stub:
         insn.tag = "lib"
     entry = code.append_block(stub)
+    code.image = ProgramImage(code.base, code.insns)
 
     memory = Memory(heap_base=heap_base)
     for addr, value in program.data_words:

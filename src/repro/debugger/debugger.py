@@ -382,11 +382,15 @@ class Debugger:
         breakpoint = Breakpoint(func_name, addr, block_addr, original,
                                 callback)
         self.breakpoints[block_addr] = breakpoint
+        if self._recorder is not None:
+            self._recorder.on_monitor_change()
         return breakpoint
 
     def clear_breakpoint(self, breakpoint: Breakpoint) -> None:
         self.cpu.code.patch(breakpoint.addr, breakpoint.original)
         self.breakpoints.pop(breakpoint.block_addr, None)
+        if self._recorder is not None:
+            self._recorder.on_monitor_change()
 
     def _on_breakpoint(self, cpu) -> None:
         breakpoint = self.breakpoints.get(cpu.pc)

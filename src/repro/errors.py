@@ -165,6 +165,23 @@ class StoreError(ReproError):
         return self.context.get("reason")
 
 
+class StateError(ReproError):
+    """Bytes that do not decode to a machine state.
+
+    Raised by :mod:`repro.machine.state` for every malformed payload,
+    program image or instruction record — it never lets a
+    ``struct.error``, ``KeyError`` or ``IndexError`` escape.
+    :attr:`context` carries ``reason``: ``"format"`` (empty, cut, bad
+    magic, trailing bytes, a field out of range), ``"version"`` (an
+    encoding generation this build does not read) or ``"image"`` (the
+    payload names a different program image than the one supplied).
+    """
+
+    @property
+    def reason(self):
+        return self.context.get("reason")
+
+
 class ReplayError(ReproError):
     """An invalid record/replay request (e.g. time travel without an
     active recording), or a recording that can no longer serve one."""

@@ -7,6 +7,12 @@ chain), data memory, code space (with any dynamic patches), control
 state, and — optionally — the monitored region service's host-side
 bookkeeping, so watchpoints can be *changed* between replays.
 
+In memory a checkpoint holds a copy of the memory dict and of the code
+list, and the MRS bookkeeping as plain data (region spans, hit tuples,
+refcount pairs) — no live region objects.  What leaves the process is
+:mod:`repro.machine.state`'s encoding of it: memory as packed words,
+code as the slots that differ from the program image.
+
 Typical replay loop: checkpoint early, run until a data breakpoint
 reports corruption, restore, re-run with narrower breakpoints to close
 in on the culprit (see ``examples/replay_debugging.py``).
@@ -14,11 +20,12 @@ in on the culprit (see ``examples/replay_debugging.py``).
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.isa.registers import RegisterFile, _Window
-from repro.machine.cpu import CPU
+
+if TYPE_CHECKING:
+    from repro.machine.cpu import CPU
 
 
 class Checkpoint:
@@ -116,39 +123,40 @@ def _restore_windows(regs: RegisterFile, frames) -> None:
 
 
 def _snapshot_mrs(mrs) -> Dict:
+    bitmap = mrs.bitmap
     return {
-        "regions": list(mrs.regions),
+        "regions": [region.key() for region in mrs.regions],
         "hits": list(mrs.hits),
-        "preheader_hits": dict(mrs.preheader_hits),
-        "active_reasons": copy.deepcopy(mrs.patches.reasons),
-        "bitmap": (dict(mrs.bitmap._segments),
-                   dict(mrs.bitmap._word_counts),
-                   dict(mrs.bitmap.region_counts),
-                   mrs.bitmap._arena_next),
-        "superpages": dict(mrs.superpages._counts),
+        "preheader_hits": list(mrs.preheader_hits.items()),
+        "active_reasons": [(site, list(reasons.items()))
+                           for site, reasons in mrs.patches.reasons.items()],
+        "segments": list(bitmap._segments.items()),
+        "word_counts": list(bitmap._word_counts.items()),
+        "region_counts": list(bitmap.region_counts.items()),
+        "arena_next": bitmap._arena_next,
+        "superpages": list(mrs.superpages._counts.items()),
         "enabled": mrs.enabled,
     }
 
 
 def _restore_mrs(mrs, state: Dict) -> None:
-    from repro.core.regions import RegionSet
+    from repro.core.regions import MonitoredRegion, RegionSet
 
     regions = RegionSet()
-    for region in state["regions"]:
-        regions.add(region)
+    for start, size in state["regions"]:
+        regions.add(MonitoredRegion(start, size))
     mrs.regions = regions
     mrs.hits = list(state["hits"])
     mrs.preheader_hits = dict(state["preheader_hits"])
-    mrs.patches.reasons = copy.deepcopy(state["active_reasons"])
-    segments, word_counts, region_counts, arena_next = state["bitmap"]
-    mrs.bitmap._segments = dict(segments)
-    mrs.bitmap._word_counts = dict(word_counts)
-    mrs.bitmap.region_counts = dict(region_counts)
-    mrs.bitmap._arena_next = arena_next
+    mrs.patches.reasons = {site: dict(reasons)
+                           for site, reasons in state["active_reasons"]}
+    bitmap = mrs.bitmap
+    bitmap._segments = dict(state["segments"])
+    bitmap._word_counts = dict(state["word_counts"])
+    bitmap.region_counts = dict(state["region_counts"])
+    bitmap._arena_next = state["arena_next"]
     mrs.superpages._counts = dict(state["superpages"])
     mrs.enabled = state["enabled"]
     # code space was rewound above; make the per-site active flags agree
     # with the restored activation refcounts
-    patches = getattr(mrs, "patches", None)
-    if patches is not None:
-        patches.sync_active_flags()
+    mrs.patches.sync_active_flags()

@@ -18,6 +18,7 @@ from repro.isa.registers import RegisterFile
 from repro.machine.cache import DirectMappedCache
 from repro.machine.costs import CostModel, DEFAULT_COSTS
 from repro.machine.memory import Memory
+from repro.machine.state import ProgramImage
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -120,14 +121,20 @@ class CodeSpace:
     (:mod:`repro.machine.blocks`) caches compiled blocks against it and
     flushes whenever it changes.  Anything that mutates :attr:`insns`
     outside this class (e.g. checkpoint restore) must bump it.
+
+    :attr:`image` is the code as loaded (:func:`~repro.asm.loader.
+    load_program` sets it); exported states and the replay state digest
+    describe code as the slots that differ from it.  A code space built
+    by hand has an empty image, so every slot counts as a patch.
     """
 
-    __slots__ = ("base", "insns", "version")
+    __slots__ = ("base", "insns", "version", "image")
 
     def __init__(self, base: int = 0x10000):
         self.base = base
         self.insns: List[Optional[Instruction]] = []
         self.version = 0
+        self.image = ProgramImage(base, ())
 
     @property
     def limit(self) -> int:

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import DivergenceError, InjectedFault, ReplayError
 from repro.faults import REPLAY_KEYFRAME
 from repro.machine.cpu import SimulationLimit
+from repro.machine.state import memory_bytes, patch_bytes
 from repro.replay.trace import WriteRecord, WriteTrace
 
 __all__ = ["Keyframe", "Recorder", "monitor_set_digest", "state_digest"]
@@ -47,11 +48,14 @@ _WORD = 0xFFFFFFFF
 
 
 def state_digest(cpu) -> int:
-    """CRC-32 digest of the control state replay must reproduce.
+    """CRC-32 digest of the machine state replay must reproduce.
 
-    Covers pc/npc, condition codes, the global registers, window depth
-    and the instruction/store counters — cheap to compute at every
-    keyframe but sensitive to any drift in the executed path.
+    Covers pc/npc, condition codes, the global registers, window depth,
+    the instruction/load/store counters, data memory and the code slots
+    that differ from the program image — sensitive to any drift in the
+    executed path, and to a divergence confined to memory or patched
+    code.  Cheap enough for every keyframe: memory is a few hundred
+    words, and an unpatched code slot is one identity compare.
     """
     regs = cpu.regs
     data = struct.pack(">IIBBBBQQ", cpu.pc & _WORD, cpu.npc & _WORD,
@@ -60,7 +64,10 @@ def state_digest(cpu) -> int:
     data += struct.pack(">%dI" % len(regs.globals),
                         *[value & _WORD for value in regs.globals])
     data += struct.pack(">II", regs.depth & _WORD, cpu.loads & _WORD)
-    return zlib.crc32(data) & 0xFFFFFFFF
+    crc = zlib.crc32(data)
+    crc = zlib.crc32(memory_bytes(cpu.mem.words), crc)
+    crc = zlib.crc32(patch_bytes(cpu.code.insns, cpu.code.image), crc)
+    return crc & 0xFFFFFFFF
 
 
 def monitor_set_digest(mrs) -> str:
@@ -156,9 +163,9 @@ class Recorder:
         Returns a :class:`repro.store.ingest.RecordingExport`: the
         canonical trace bytes (run metadata completed with the
         monitor-set digest and stride, so the bytes are
-        self-describing), every keyframe's machine checkpoint pickled
-        for content-addressed dedup, and the run statistics for the
-        store's run header.
+        self-describing), the program image once, every keyframe's
+        machine checkpoint encoded against it for content-addressed
+        dedup, and the run statistics for the store's run header.
         """
         from repro.store.ingest import export_recording
 
@@ -220,7 +227,8 @@ class Recorder:
         return since
 
     def on_monitor_change(self) -> None:
-        """The debugger changed the watchpoint/region set.
+        """The debugger changed the watchpoint/region set, or patched
+        code for a control breakpoint.
 
         A change while time-travelled into recorded history forks the
         timeline: the now-stale future is discarded.  Either way a

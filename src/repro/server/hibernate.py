@@ -19,13 +19,18 @@ On-disk format (version :data:`FORMAT_VERSION`), one file per session,
     | magic  | version | header len | header   | payload len | ...    |
     | 8 B    | u32 BE  | u32 BE     | JSON     | u64 BE      |        |
     +--------+---------+------------+----------+-------------+--------+
-    | payload (pickled machine+MRS Checkpoint) | sha256 of all above  |
+    | payload (machine+MRS Checkpoint)         | sha256 of all above  |
     +------------------------------------------+----------------------+
+
+The payload is :func:`repro.machine.state.encode_state`'s encoding of
+the machine checkpoint, the same bytes the trace store archives for a
+keyframe: code travels as the slots that differ from the program image,
+which the payload names by sha-256.
 
 The JSON header carries everything needed to rebuild the session
 *around* the checkpoint: program identity (source, language, strategy,
 optimization mode), one wire-level breakpoint spec per watchpoint (so
-conditions are recompiled, not pickled), the plain-data ``state`` of
+conditions are recompiled, not serialised), the plain-data ``state`` of
 :meth:`~repro.debugger.debugger.Debugger.checkpoint` verbatim (hit
 lists and engine state per watchpoint, log, started flag), server
 bookkeeping (output, stop reason), replay-recorder metadata, and the
@@ -40,20 +45,20 @@ a torn temp file; the previous intact frozen file survives.  Load
 path: any torn, truncated or digest-mismatched file is moved into a
 ``quarantine/`` subdirectory and reported as a structured
 :class:`~repro.errors.HibernationError` — a corrupt checkpoint is
-never trusted.  The sha256 trailer detects torn files but does not
-authenticate them, so the payload is unpickled through an allow-list
-that admits only the classes and functions of the modules a machine
-checkpoint is made of.
+never trusted.  Thaw rebuilds the program from its identity and
+decodes the payload against the rebuilt image: a rebuild whose image
+digest differs from the payload's is refused (reason ``"rebuild"``),
+and bytes the codec does not accept are reason ``"format"``.  The
+sha256 trailer detects torn files but does not authenticate them; the
+codec holds numbers and strings only, so crafted bytes can at worst
+fail to decode or restore a state that fails its digest check.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
-import io
 import json
 import os
-import pickle
 import struct
 import time
 from typing import Any, Dict, List, Optional
@@ -65,7 +70,7 @@ __all__ = ["FORMAT_VERSION", "FrozenSession", "HibernationStore",
            "freeze_managed", "rebuild_managed"]
 
 MAGIC = b"RPRHIB1\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: refuse to parse headers larger than this (a torn length field must
 #: not make us allocate gigabytes)
 MAX_HEADER_BYTES = 1 << 24
@@ -77,7 +82,7 @@ _DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 class FrozenSession:
-    """One hibernated session: header metadata + pickled checkpoint."""
+    """One hibernated session: header metadata + encoded checkpoint."""
 
     def __init__(self, session_id: str, program: Dict[str, Any],
                  breakpoints: List[Dict[str, Any]],
@@ -100,9 +105,9 @@ class FrozenSession:
         self.session_state = session_state or {}
         #: replay-recorder settings, or None if not recording
         self.record = record
-        #: pickled machine+MRS Checkpoint
+        #: repro.machine.state encoding of the machine+MRS Checkpoint
         self.checkpoint_payload = checkpoint_payload
-        #: CRC-32 control-state digest at freeze time (re-verified)
+        #: CRC-32 state digest at freeze time (re-verified)
         self.state_digest = state_digest
         self.frozen_at = time.time() if frozen_at is None else frozen_at
 
@@ -363,29 +368,6 @@ class HibernationStore:
             pass
 
 
-# -- the checkpoint payload ---------------------------------------------------
-
-#: the modules a pickled machine Checkpoint is made of: Checkpoint
-#: itself, MonitoredRegion, and the instruction classes (with
-#: MemAddress, Operand2 and the _cc_*/_op_* functions they hold)
-_PAYLOAD_MODULES = ("repro.machine.checkpoint", "repro.isa.instructions",
-                    "repro.core.regions")
-
-
-class _PayloadUnpickler(pickle.Unpickler):
-    """Unpickles a frozen checkpoint, admitting only names defined in
-    :data:`_PAYLOAD_MODULES` — anyone who can write the hibernation
-    directory must not be able to run code as the server."""
-
-    def find_class(self, module: str, name: str):
-        if module in _PAYLOAD_MODULES and "." not in name:
-            found = getattr(importlib.import_module(module), name, None)
-            if getattr(found, "__module__", None) == module:
-                return found
-        raise pickle.UnpicklingError(
-            "frozen checkpoint names %s.%s" % (module, name))
-
-
 # -- freeze / rebuild ---------------------------------------------------------
 
 def freeze_managed(managed) -> FrozenSession:
@@ -398,6 +380,7 @@ def freeze_managed(managed) -> FrozenSession:
     recorded program spec, or with a live fault plan whose occurrence
     counters cannot be carried across the boundary.
     """
+    from repro.machine.state import encode_state
     from repro.replay.recorder import state_digest
     from repro.server.protocol import format_data_id
 
@@ -441,8 +424,8 @@ def freeze_managed(managed) -> FrozenSession:
     return FrozenSession(session_id=managed.id, program=program,
                          breakpoints=breakpoints, debugger_state=state,
                          session_state=session, record=record,
-                         checkpoint_payload=pickle.dumps(checkpoint,
-                                                         protocol=4),
+                         checkpoint_payload=encode_state(
+                             checkpoint, debugger.cpu.code.image),
                          state_digest=state_digest(debugger.cpu))
 
 
@@ -451,30 +434,36 @@ def rebuild_managed(frozen: FrozenSession):
 
     Returns ``(debugger, breakpoints)`` where *breakpoints* is the
     ``dataId -> Watchpoint`` table.  The program is recompiled from its
-    recorded identity, each watchpoint built by
+    recorded identity, the payload decoded against the rebuilt program
+    image, each watchpoint built by
     :meth:`~repro.debugger.debugger.Debugger.new_watchpoint` and bound
     to its region in the frozen MRS, the snapshot applied by
     :meth:`~repro.debugger.debugger.Debugger.restore`, and the CPU
-    control-state digest re-verified — any mismatch raises
+    state digest re-verified — any mismatch raises
     :class:`HibernationError` (reason ``"digest"``) instead of resuming
     a divergent session.
     """
-    from repro.errors import ReproError
+    from repro.core.regions import MonitoredRegion
+    from repro.errors import ReproError, StateError
+    from repro.machine.state import decode_state, state_image
     from repro.replay.recorder import state_digest
     from repro.server.manager import build_debugger
     from repro.server.protocol import parse_data_id
     from repro.watchpoints.predicate import condition_to_expr
 
+    def undecodable(detail) -> HibernationError:
+        return HibernationError(
+            "frozen session %s carries an undecodable checkpoint: %s"
+            % (frozen.session_id, detail), reason="format",
+            session=frozen.session_id)
+
+    payload = frozen.checkpoint_payload
     try:
-        checkpoint = _PayloadUnpickler(
-            io.BytesIO(frozen.checkpoint_payload)).load()
-        regions = {region.key(): region
-                   for region in checkpoint.mrs_state["regions"]}
-    except Exception as exc:
-        raise HibernationError(
-            "frozen session %s carries an undecodable checkpoint"
-            % frozen.session_id, reason="format",
-            session=frozen.session_id) from exc
+        # bytes that are no state encoding are "format" even when the
+        # program can no longer be rebuilt: check the header first
+        state_image(payload)
+    except StateError as exc:
+        raise undecodable(exc) from exc
     try:
         debugger = build_debugger(frozen.program)
     except Exception as exc:
@@ -482,6 +471,20 @@ def rebuild_managed(frozen: FrozenSession):
             "frozen session %s's program can no longer be rebuilt: %s"
             % (frozen.session_id, exc), reason="rebuild",
             session=frozen.session_id) from exc
+    try:
+        checkpoint = decode_state(payload, debugger.cpu.code.image)
+    except StateError as exc:
+        if exc.reason == "image":
+            raise HibernationError(
+                "frozen session %s's program rebuilds to a different "
+                "image" % frozen.session_id, reason="rebuild",
+                session=frozen.session_id) from exc
+        raise undecodable(exc) from exc
+    if checkpoint.mrs_state is None or \
+            len(checkpoint.cache_lines) != debugger.cpu.cache.num_lines:
+        raise undecodable("no MRS state, or another cache size")
+    regions = {key: MonitoredRegion(*key)
+               for key in checkpoint.mrs_state["regions"]}
 
     # the checkpoint already carries the MRS bookkeeping and patched
     # code, so nothing is armed again: each watchpoint only binds to

@@ -69,7 +69,8 @@ class StoreConnection:
         # SQLite reports "memory" and we proceed without it
         self._conn.execute("PRAGMA journal_mode = WAL")
         self._conn.execute("PRAGMA synchronous = NORMAL")
-        ensure_schema(self._conn)
+        # another opener may hold the write lock while it upgrades
+        self._retry(lambda: ensure_schema(self._conn), "open")
         self.closed = False
 
     # -- transactions ------------------------------------------------------

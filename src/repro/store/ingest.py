@@ -3,10 +3,11 @@
 :func:`export_recording` turns a :class:`~repro.replay.recorder.Recorder`
 into a self-contained :class:`RecordingExport`: the canonical trace
 bytes (with the run-metadata header completed — monitor-set digest and
-stride filled in if the caller did not set them), every keyframe's
-*machine* checkpoint pickled (host-side watchpoint objects are not
-exported; the store serves analytics, not resumption), and the run
-statistics for the run header.
+stride filled in if the caller did not set them), the program image
+once, every keyframe's *machine* checkpoint encoded by
+:mod:`repro.machine.state` against that image (host-side watchpoint
+objects are not exported; the store serves analytics, not resumption),
+and the run statistics for the run header.
 
 :func:`ingest` writes one export inside the caller's transaction:
 
@@ -17,17 +18,19 @@ statistics for the run header.
 * keyframe payloads are **deduplicated** by digest: a payload already
   present (from this run or any other) is stored zero more times, and
   only the per-run reference row is added.  Two runs of the same
-  deterministic program share every keyframe byte.
+  deterministic program share every keyframe byte;
+* the program image is stored once per digest, and the run row names
+  it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import time
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.errors import StoreError
+from repro.machine.state import encode_state
 
 __all__ = ["KeyframeExport", "RecordingExport", "IngestResult",
            "export_recording", "ingest"]
@@ -39,7 +42,7 @@ class KeyframeExport(NamedTuple):
     index: int          #: cpu.instructions at capture
     trace_pos: int      #: trace.total at capture
     state_digest: int   #: CRC-32 control-state digest at capture
-    payload: bytes      #: pickled machine Checkpoint
+    payload: bytes      #: repro.machine.state encoding of the Checkpoint
     digest: str         #: sha-256 hex of payload (content address)
 
 
@@ -51,6 +54,8 @@ class RecordingExport(NamedTuple):
     trace_digest: str             #: sha-256 hex of trace_bytes
     keyframes: List[KeyframeExport]
     stats: Dict[str, Any]         #: instructions, stores, wall time, ...
+    image: Optional[bytes] = None         #: ProgramImage.encoded
+    image_digest: Optional[str] = None    #: sha-256 hex of image
 
 
 class IngestResult(NamedTuple):
@@ -75,12 +80,13 @@ def export_recording(recorder,
     trace.meta.setdefault("stride", recorder.base_stride)
     trace.meta.setdefault("workload", "unknown")
     trace_bytes = trace.to_bytes()
+    image = recorder.debugger.cpu.code.image
     keyframes = []
     for keyframe in recorder.keyframes:
         # of the debugger's (machine snapshot, watchpoints, state)
         # triple only the machine snapshot is exported — and only it
         # is needed to anchor analytics in execution time
-        payload = pickle.dumps(keyframe.checkpoint[0], protocol=4)
+        payload = encode_state(keyframe.checkpoint[0], image)
         keyframes.append(KeyframeExport(
             keyframe.index, keyframe.trace_pos, keyframe.digest,
             payload, hashlib.sha256(payload).hexdigest()))
@@ -97,7 +103,8 @@ def export_recording(recorder,
     return RecordingExport(
         meta=dict(trace.meta), trace_bytes=trace_bytes,
         trace_digest=hashlib.sha256(trace_bytes).hexdigest(),
-        keyframes=keyframes, stats=stats)
+        keyframes=keyframes, stats=stats, image=image.encoded,
+        image_digest=image.digest)
 
 
 def ingest(conn, export: RecordingExport) -> IngestResult:
@@ -118,6 +125,11 @@ def ingest(conn, export: RecordingExport) -> IngestResult:
             "last_access = ? WHERE id = ?", (now, row[0]))
         return IngestResult(row[0], run_key, True, 0, 0)
 
+    if export.image is not None:
+        conn.execute(
+            "INSERT OR IGNORE INTO images (digest, image, size, "
+            "created_at) VALUES (?, ?, ?, ?)",
+            (export.image_digest, export.image, len(export.image), now))
     new = shared = 0
     for keyframe in export.keyframes:
         cursor = conn.execute(
@@ -134,9 +146,10 @@ def ingest(conn, export: RecordingExport) -> IngestResult:
         "INSERT INTO runs (run_key, workload, scale, seed, monitors, "
         "stride, lang, strategy, optimize, instructions, stores, "
         "wall_time_s, start_index, end_index, trace_digest, trace, "
-        "trace_records, trace_dropped, created_at, last_access) "
+        "trace_records, trace_dropped, created_at, last_access, "
+        "image_digest) "
         "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-        "?, ?, ?)",
+        "?, ?, ?, ?)",
         (run_key, workload, meta.get("scale"), meta.get("seed"),
          meta.get("monitors"), meta.get("stride"), meta.get("lang"),
          meta.get("strategy"), meta.get("optimize"),
@@ -144,7 +157,7 @@ def ingest(conn, export: RecordingExport) -> IngestResult:
          stats.get("wall_time_s"), stats.get("start_index", 0),
          stats.get("end_index", 0), export.trace_digest,
          export.trace_bytes, stats.get("trace_records", 0),
-         stats.get("trace_dropped", 0), now, now))
+         stats.get("trace_dropped", 0), now, now, export.image_digest))
     run_id = cursor.lastrowid
     conn.executemany(
         "INSERT INTO run_keyframes "

@@ -317,7 +317,8 @@ def provenance(conn, addr: int, size: int,
 
 
 def store_stats(conn) -> Dict[str, Any]:
-    """Totals: runs, workloads, dedup ratio, payload footprint."""
+    """Totals: runs, workloads, keyframes and images, dedup ratio,
+    payload footprint."""
     from repro.store.retention import stored_bytes
 
     (runs,) = conn.execute("SELECT COUNT(*) FROM runs").fetchone()
@@ -334,6 +335,7 @@ def store_stats(conn) -> Dict[str, Any]:
     (referenced_bytes,) = conn.execute(
         "SELECT COALESCE(SUM(k.size), 0) FROM run_keyframes r "
         "JOIN keyframes k ON k.digest = r.keyframe_digest").fetchone()
+    (images,) = conn.execute("SELECT COUNT(*) FROM images").fetchone()
     return {
         "runs": runs,
         "workloads": workloads,
@@ -341,6 +343,7 @@ def store_stats(conn) -> Dict[str, Any]:
         "duplicate_ingests": ingests - runs,
         "unique_keyframes": unique_keyframes,
         "keyframe_refs": keyframe_refs,
+        "images": images,
         "dedup_ratio": (round(referenced_bytes / keyframe_bytes, 3)
                         if keyframe_bytes else 1.0),
         "stored_bytes": stored_bytes(conn),

@@ -6,15 +6,17 @@ LRU eviction over ``runs.last_access``:
 * ``max_runs_per_workload`` — at most N stored runs per workload name
   (the cross-run queries rarely need deep history);
 * ``max_bytes`` — total payload budget, counting each deduplicated
-  keyframe payload **once** plus every run's trace blob.
+  keyframe payload and each program image **once** plus every run's
+  trace blob.
 
 Eviction deletes whole runs, oldest-accessed first, but never the most
 recently ingested run of a workload — a store under pressure degrades
 to "latest generation only", it does not empty itself.  After the run
 rows (and, via ``ON DELETE CASCADE``, their keyframe references) are
-gone, keyframe payloads with **zero remaining references** are
-garbage-collected; a keyframe still referenced by any surviving run is
-never deleted, no matter which run originally inserted it.
+gone, keyframe payloads and program images with **zero remaining
+references** are garbage-collected; a keyframe or image still
+referenced by any surviving run is never deleted, no matter which run
+originally inserted it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,15 @@ class EvictionReport(NamedTuple):
 
 
 def stored_bytes(conn) -> int:
-    """Current payload footprint: deduplicated keyframe payloads (each
-    digest once) plus every run's trace blob."""
+    """Current payload footprint: deduplicated keyframe payloads and
+    program images (each digest once) plus every run's trace blob."""
     (keyframe_bytes,) = conn.execute(
         "SELECT COALESCE(SUM(size), 0) FROM keyframes").fetchone()
+    (image_bytes,) = conn.execute(
+        "SELECT COALESCE(SUM(size), 0) FROM images").fetchone()
     (trace_bytes,) = conn.execute(
         "SELECT COALESCE(SUM(LENGTH(trace)), 0) FROM runs").fetchone()
-    return keyframe_bytes + trace_bytes
+    return keyframe_bytes + image_bytes + trace_bytes
 
 
 def _protected_runs(conn) -> set:
@@ -67,7 +71,11 @@ def _evict(conn, run_ids: List[int]) -> None:
 
 
 def _collect_garbage(conn) -> int:
-    """Delete keyframe payloads no surviving run references."""
+    """Delete the keyframe payloads and program images no surviving
+    run references; returns how many keyframes went."""
+    conn.execute(
+        "DELETE FROM images WHERE digest NOT IN "
+        "(SELECT image_digest FROM runs WHERE image_digest IS NOT NULL)")
     cursor = conn.execute(
         "DELETE FROM keyframes WHERE digest NOT IN "
         "(SELECT DISTINCT keyframe_digest FROM run_keyframes)")

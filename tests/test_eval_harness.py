@@ -6,8 +6,12 @@ below is checked on those results, so tier-1 checks the orderings the
 paper's conclusions rest on at the cost of one evaluation.
 """
 
+import json
+import math
+
 import pytest
 
+import golden
 from repro.eval.ablations import sweep_window_bulk
 from repro.eval.breakeven import (breakeven_full_fraction, cost_cache,
                                   cost_registers)
@@ -295,3 +299,38 @@ class TestReportGenerator:
                        "E9"):
             assert marker in report
         assert "Table 1" in report and "elimination" in report
+
+
+class TestGoldenEvaluation:
+    def test_simulated_numbers_match_the_golden(self, evaluation):
+        """Every simulated number of the shared evaluation equals the
+        committed one: a change that moves one must rewrite the golden
+        (``PYTHONPATH=src python tests/golden.py``) and show the diff."""
+        assert evaluation["scale"] == golden.SCALE
+        with open(golden.PATH) as handle:
+            assert golden.canonical(evaluation) == handle.read()
+
+    def test_a_last_bit_difference_does_not_move_the_golden(self):
+        """``sum()`` compensates rounding error since Python 3.12, so an
+        average or regression of the evaluation may differ in its last
+        bit between the interpreters CI runs: each float is pinned to
+        fewer digits than that."""
+        with open(golden.PATH) as handle:
+            pinned = json.load(handle)
+        floats = [value for value in floats_in(pinned) if value]
+        assert len(floats) > 250
+        for value in floats:
+            for neighbour in (math.nextafter(value, math.inf),
+                              math.nextafter(value, -math.inf)):
+                assert golden.rounded(neighbour) == value
+
+
+def floats_in(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from floats_in(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from floats_in(item)

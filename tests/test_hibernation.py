@@ -25,13 +25,15 @@ import pytest
 from repro.errors import HibernationError, ServerError
 from repro.faults import CLIENT_SEND, HIBERNATE_LOAD, HIBERNATE_WRITE, \
     FaultPlan
+from repro.machine.state import decode_state, encode_state
 from repro.server import (DebugClient, DebugServer, RemoteError,
                           ServerConfig)
 from repro.server import hibernate
 from repro.server.hibernate import (FORMAT_VERSION, FrozenSession,
                                     HibernationStore)
 from repro.server.manager import (RETRY_AFTER_CAPACITY,
-                                  RETRY_AFTER_DRAINING, SessionManager)
+                                  RETRY_AFTER_DRAINING, SessionManager,
+                                  build_debugger)
 
 SOURCE = """
 int total;
@@ -187,17 +189,18 @@ class TestHibernationStore:
         assert excinfo.value.quarantined is not None
 
     def test_old_format_version_refused(self, hdir, monkeypatch):
-        """A file in the previous layout, intact down to its sha256
+        """A file in a previous layout, intact down to its sha256
         trailer, is refused rather than misread."""
         store = HibernationStore(hdir)
-        monkeypatch.setattr(hibernate, "FORMAT_VERSION", 1)
-        store.save(sample_frozen())
-        monkeypatch.undo()
-        assert FORMAT_VERSION == 2
-        with pytest.raises(HibernationError) as excinfo:
-            store.load("s1")
-        assert excinfo.value.reason == "format"
-        assert excinfo.value.context["version"] == 1
+        for old_version in (1, 2):
+            monkeypatch.setattr(hibernate, "FORMAT_VERSION", old_version)
+            store.save(sample_frozen())
+            monkeypatch.undo()
+            assert FORMAT_VERSION == 3
+            with pytest.raises(HibernationError) as excinfo:
+                store.load("s1")
+            assert excinfo.value.reason == "format"
+            assert excinfo.value.context["version"] == old_version
 
     def test_write_fault_leaves_previous_file_intact(self, hdir):
         """The crash-mid-write simulation: an injected hibernate.write
@@ -330,6 +333,40 @@ class TestHibernateThawLifecycle:
                 client.request("resume", {"sessionId": session_id},
                                retries=0)
             assert excinfo.value.context["reason"] == "unknown_session"
+
+    def resume_tampered(self, server, hdir, tamper):
+        """Freeze a session mid-run, rewrite its frozen file through
+        *tamper* (the sha256 trailer is recomputed on save), and return
+        the structured cause its resume fails with."""
+        with client_for(server) as client:
+            client.initialize()
+            session_id = launch_with_watch(client)
+            client.cont(session_id, quota=60)
+            assert client.hibernate(session_id)["hibernated"] is True
+            store = HibernationStore(hdir)
+            frozen = store.load(session_id)
+            tamper(frozen)
+            store.save(frozen)
+            with pytest.raises(RemoteError) as excinfo:
+                client.request("resume", {"sessionId": session_id},
+                               retries=0)
+        assert excinfo.value.context["reason"] == "resume_failed"
+        return excinfo.value.context["cause"]
+
+    def test_flipped_memory_word_fails_the_digest(self, server, hdir):
+        def flip(frozen):
+            image = build_debugger(frozen.program).cpu.code.image
+            checkpoint = decode_state(frozen.checkpoint_payload, image)
+            word = min(checkpoint.memory_words)
+            checkpoint.memory_words[word] ^= 1
+            frozen.checkpoint_payload = encode_state(checkpoint, image)
+        assert self.resume_tampered(server, hdir, flip) == "digest"
+
+    def test_rebuild_to_another_image_is_refused(self, server, hdir):
+        def edit(frozen):
+            frozen.program = dict(frozen.program, source=SOURCE.replace(
+                "i < 20", "i < 21"))
+        assert self.resume_tampered(server, hdir, edit) == "rebuild"
 
     def test_disconnect_discards_frozen_file(self, server, hdir):
         with client_for(server) as client:
@@ -542,9 +579,9 @@ class TestThawMatchesDebuggerSnapshot:
             assert len(debugger.mrs.regions) == 1
 
     def test_crafted_payload_runs_nothing(self, hdir, tmp_path):
-        """The sha256 trailer authenticates nothing: a payload that
-        reduces to a call must be refused by the unpickler's
-        allow-list, before anything it names runs."""
+        """The sha256 trailer authenticates nothing: a pickle that
+        reduces to a call is not a state encoding, and is refused
+        before anything it names runs."""
         marker = tmp_path / "marker"
 
         class Touch:

@@ -194,6 +194,30 @@ class TestReverseExecution:
         answer = debugger.last_write("grid[5]")
         assert answer is not None and answer.new == 15
 
+    def test_breakpoint_change_forks_the_timeline(self):
+        """A control breakpoint patches code, which re-execution cannot
+        reproduce: travelling back past ``break`` and continuing records
+        a new timeline instead of diverging at the next keyframe."""
+        debugger = make_debugger()
+        recorder = debugger.record(stride=20)
+        assert debugger.step(150) == "step"
+        placed = debugger.cpu.instructions
+        debugger.break_at("bump")
+        assert placed in recorder.monitor_changes
+        assert debugger.run() == "breakpoint:bump"
+        entered = debugger.cpu.instructions
+        # back to after the break: the patched keyframe replays to it
+        debugger.reverse_step(entered - placed - 5)
+        assert debugger.run() == "breakpoint:bump"
+        assert debugger.cpu.instructions == entered
+        # back to before it: the future recorded with the patch is gone
+        debugger.reverse_step(entered - placed + 20)
+        assert recorder.end_index == placed - 20
+        reason = debugger.run()
+        while reason != "exited":
+            reason = debugger.run()
+        assert "".join(debugger.output).strip() == "15"
+
 
 class TestLastWrite:
     def test_last_write_from_trace(self):
@@ -321,6 +345,22 @@ class TestDivergenceDetection:
         with pytest.raises(DivergenceError) as excinfo:
             debugger.reverse_step(back_to_keyframe)
         assert "expected_digest" in excinfo.value.context
+
+    def test_memory_only_divergence_raises_at_next_keyframe(self):
+        """grid[7] is never read (nor written): flipping it after a
+        keyframe restore leaves the executed path and every monitor hit
+        unchanged, and only the state digest's memory coverage sees
+        it."""
+        debugger, recorder, _w = record_run(stride=100)
+        assert len(recorder.keyframes) > 2
+        unread = debugger.session.symbol("grid").address + 4 * 7
+        recorder.restore_keyframe(recorder.keyframes[1])
+        memory = debugger.cpu.mem
+        memory.write_word(unread, memory.read_word(unread) ^ 1)
+        with pytest.raises(DivergenceError) as excinfo:
+            recorder.resume()
+        assert excinfo.value.context["index"] == recorder.keyframes[2].index
+        assert excinfo.value.expected["pc"] == excinfo.value.observed["pc"]
 
     def test_divergence_error_carries_expected_and_observed(self):
         error = DivergenceError("drift", expected_pc=1, observed_pc=2,

@@ -19,6 +19,7 @@ The ISSUE acceptance criteria exercised here:
 
 import hashlib
 import os
+import sqlite3
 import struct
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from repro.faults import STORE_COMMIT, FaultPlan
 from repro.replay.trace import WriteRecord, WriteTrace
 from repro.store import (KeyframeExport, RecordingExport,
                          RetentionPolicy, TraceStore)
+from repro.store.schema import SCHEMA_VERSION, UPGRADES, ensure_schema
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -388,6 +390,184 @@ class TestRetentionProperties:
             kept = {payloads[d] for d in digests}
             assert kept == {1, 2}
             check_referential_integrity(store)
+
+
+# -- program images: stored once, named by runs, collected with them -------
+
+def with_image(export, image_id):
+    """*export* carrying a fake program image, one per *image_id*."""
+    image = (b"image-%d-" % image_id) * 64
+    return export._replace(image=image,
+                           image_digest=hashlib.sha256(image).hexdigest())
+
+
+def check_images(store):
+    """Every run's image is stored, and no stored image is orphaned."""
+    conn = store.connection._conn
+    missing = conn.execute(
+        "SELECT COUNT(*) FROM runs WHERE image_digest IS NOT NULL AND "
+        "image_digest NOT IN (SELECT digest FROM images)").fetchone()[0]
+    orphans = conn.execute(
+        "SELECT COUNT(*) FROM images WHERE digest NOT IN (SELECT "
+        "image_digest FROM runs WHERE image_digest IS NOT NULL)"
+    ).fetchone()[0]
+    assert (missing, orphans) == (0, 0)
+
+
+class TestImages:
+    def test_runs_of_one_program_share_one_image(self, store):
+        digests = set()
+        for seed in (1, 2):
+            _debugger, recorder = record_run()
+            result = store.ingest_recorder(recorder, workload="w",
+                                           seed=seed)
+            digests.add(store.connection.query(
+                "SELECT image_digest FROM runs WHERE id = ?",
+                (result.run_id,))[0][0])
+        (digest,) = digests
+        assert digest == recorder.debugger.cpu.code.image.digest
+        assert store.stats()["images"] == 1
+
+    def test_image_bytes_count_once_toward_the_budget(self, store):
+        exports = [with_image(synthetic_export("w", seed, [seed]), 0)
+                   for seed in (1, 2)]
+        for export in exports:
+            store.ingest(export)
+        assert store.stats()["stored_bytes"] == len(exports[0].image) + sum(
+            len(export.trace_bytes) + len(export.keyframes[0].payload)
+            for export in exports)
+
+    def test_evicting_the_last_run_of_an_image_deletes_it(self, store):
+        for seed, image_id in ((1, 1), (2, 2), (3, 2)):
+            store.ingest(with_image(synthetic_export("w", seed, [seed]),
+                                    image_id))
+        store.apply_retention(RetentionPolicy(max_runs_per_workload=1))
+        assert [run.seed for run in store.runs()] == [3]
+        # image 1 went with its last run; image 2 is still run 3's
+        assert store.connection.query("SELECT image FROM images") == [
+            ((b"image-2-") * 64,)]
+        check_images(store)
+
+    @settings(max_examples=25, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from(["alpha", "beta"]),
+                                   st.integers(min_value=0, max_value=2)),
+                         min_size=1, max_size=8),
+           keep=st.integers(min_value=1, max_value=3),
+           budget=st.integers(min_value=1, max_value=40000))
+    def test_retention_leaves_no_orphan_image(self, runs, keep, budget):
+        with TraceStore(":memory:") as store:
+            for seed, (workload, image_id) in enumerate(runs):
+                store.ingest(with_image(
+                    synthetic_export(workload, seed, [seed]), image_id))
+            check_images(store)
+            store.apply_retention(RetentionPolicy(max_runs_per_workload=keep))
+            check_images(store)
+            report = store.apply_retention(RetentionPolicy(max_bytes=budget))
+            check_images(store)
+            check_referential_integrity(store)
+            assert report.bytes_after == store.stats()["stored_bytes"]
+
+
+def generation_1_store(path):
+    """A store as generation 1 wrote it, holding one run; returns that
+    run's export."""
+    old = synthetic_export("old", 1, [0])
+    conn = sqlite3.connect(path)
+    conn.executescript(UPGRADES[0])
+    assert "images" not in {row[0] for row in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    conn.execute("INSERT INTO keyframes VALUES (?, ?, ?, 0)",
+                 (old.keyframes[0].digest, old.keyframes[0].payload,
+                  len(old.keyframes[0].payload)))
+    conn.execute(
+        "INSERT INTO runs (run_key, workload, instructions, "
+        "trace_digest, trace, trace_records, created_at, last_access) "
+        "VALUES (?, 'old', 1, ?, ?, 3, 0, 0)",
+        (old.trace_digest, old.trace_digest, old.trace_bytes))
+    conn.execute("INSERT INTO run_keyframes VALUES (1, ?, 0, 0, 0)",
+                 (old.keyframes[0].digest,))
+    conn.execute("PRAGMA user_version = 1")
+    conn.commit()
+    conn.close()
+    return old
+
+
+class Overtaken(sqlite3.Connection):
+    """A connection that, once it has read the store's generation, is
+    overtaken: another opener upgrades the store before this one's
+    next statement runs."""
+
+    def race(self):
+        if getattr(self, "read", False) and not hasattr(self, "raced"):
+            self.raced = True
+            TraceStore(self.path).close()
+
+    def execute(self, sql, *args):
+        self.race()
+        cursor = super().execute(sql, *args)
+        self.read = getattr(self, "read", False) or \
+            sql == "PRAGMA user_version"
+        return cursor
+
+    def executescript(self, script):
+        self.race()
+        return super().executescript(script)
+
+
+class TestSchemaUpgrade:
+    def test_generation_1_store_upgrades_in_place(self, tmp_path):
+        """A store written before images existed opens, upgrades, keeps
+        its pickled keyframe payloads as opaque counted blobs, and
+        ingests new recordings."""
+        path = str(tmp_path / "old.sqlite")
+        old = generation_1_store(path)
+        for _reopen in range(2):
+            with TraceStore(path) as store:
+                (version,) = store.connection.query(
+                    "PRAGMA user_version")[0]
+                assert version == SCHEMA_VERSION == 2
+                assert store.trace(1).to_bytes() == old.trace_bytes
+                stats = store.stats()
+                assert (stats["unique_keyframes"], stats["images"]) == (1, 0)
+        with TraceStore(path) as store:
+            _debugger, recorder = record_run()
+            store.ingest_recorder(recorder, workload="new")
+            assert [run.workload for run in store.runs()] == ["old", "new"]
+            assert store.stats()["images"] == 1
+            check_images(store)
+            check_referential_integrity(store)
+
+    @pytest.mark.parametrize("generation", [0, 1])
+    def test_overtaken_opener_upgrades_nothing_twice(self, tmp_path,
+                                                     generation):
+        """Two openers of one old store both read its old generation.
+        The one that takes the write lock second reads the generation
+        again under the lock and finds nothing left to upgrade."""
+        path = str(tmp_path / "old.sqlite")
+        if generation:
+            generation_1_store(path)
+        conn = sqlite3.connect(path, factory=Overtaken)
+        conn.path = path
+        ensure_schema(conn)
+        assert conn.raced
+        assert conn.execute("PRAGMA user_version").fetchone() == (
+            SCHEMA_VERSION,)
+        conn.close()
+        with TraceStore(path) as store:
+            store.ingest(with_image(synthetic_export("new", 2, [1]), 0))
+            assert [run.workload for run in store.runs()] == \
+                ["old", "new"][1 - generation:]
+            check_images(store)
+            check_referential_integrity(store)
+
+    def test_newer_generation_is_refused(self, tmp_path):
+        path = str(tmp_path / "future.sqlite")
+        conn = sqlite3.connect(path)
+        conn.execute("PRAGMA user_version = %d" % (SCHEMA_VERSION + 1))
+        conn.close()
+        with pytest.raises(StoreError) as info:
+            TraceStore(path)
+        assert info.value.reason == "corrupt"
 
 
 # -- crash consistency across the store.commit fault point -----------------
