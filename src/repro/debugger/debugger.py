@@ -27,6 +27,7 @@ from repro.core.regions import MonitoredRegion
 from repro.instrument.plan import OptimizationPlan
 from repro.isa import instructions as I
 from repro.isa.registers import FP
+from repro.machine.cpu import SimulationLimit
 from repro.minic.codegen import compile_source
 from repro.optimizer.pipeline import build_plan
 from repro.session import DebugSession
@@ -436,11 +437,14 @@ class Debugger:
     def checkpoint(self):
         """Snapshot the debuggee for replayed execution (§5).
 
-        Returns ``(machine Checkpoint, watchpoint list, state)``, where
-        *state* holds per watchpoint, in list order, its hits and engine
-        state, plus the log and started flag — plain data that
-        :meth:`restore` takes back after a JSON round trip (hibernation
-        writes it into the frozen header).
+        Returns ``(machine Checkpoint, (watchpoint list, breakpoint
+        list), state)``.  The breakpoint list pairs each control
+        breakpoint with its hit count: its code patch rewinds with the
+        machine, so the table must too.  *state* holds per watchpoint,
+        in list order, its hits and engine state, plus the log and
+        started flag — plain data that :meth:`restore` takes back after
+        a JSON round trip (hibernation writes it into the frozen
+        header).
 
         Watchpoints may be added or removed between :meth:`restore` and
         the next :meth:`run` — the classic replay loop narrows in on a
@@ -465,11 +469,13 @@ class Debugger:
             "log": list(self.log),
             "started": self._started,
         }
-        return (snapshot, list(self.watchpoints), state)
+        breakpoints = [(breakpoint, breakpoint.hits)
+                       for breakpoint in self.breakpoints.values()]
+        return (snapshot, (list(self.watchpoints), breakpoints), state)
 
     def restore(self, checkpoint, discard_recording: bool = True) -> None:
         """Rewind the debuggee to a :meth:`checkpoint` — including the
-        watchpoint set as it stood then.
+        watchpoint set and the control breakpoints as they stood then.
 
         An *external* restore moves the debuggee to a point the active
         recording knows nothing about, so the recording is discarded
@@ -481,9 +487,13 @@ class Debugger:
 
         if discard_recording:
             self.stop_record()
-        snapshot, watchpoints, state = checkpoint
+        snapshot, (watchpoints, breakpoints), state = checkpoint
         snapshot.restore(self.cpu, output=self.session.output,
                          mrs=self.mrs)
+        self.breakpoints = {}
+        for breakpoint, hits in breakpoints:
+            breakpoint.hits = hits
+            self.breakpoints[breakpoint.block_addr] = breakpoint
         self.watchpoints = list(watchpoints)
         self._region_refs = {}
         for watchpoint, saved in zip(self.watchpoints,
@@ -619,57 +629,48 @@ class Debugger:
 
     def run(self, max_instructions: int = 400_000_000) -> str:
         """Run or resume; returns the stop reason ("exited", "watch",
-        "breakpoint:<func>").  Under an active recording, execution is
-        driven through the recorder (keyframes + trace capture)."""
-        if self._recorder is not None and self._recorder.active:
-            self.stop_reason = None
-            self.stopped_watch = None
-            reason = self._recorder.resume(max_instructions)
-            if self.stop_reason is None:
-                self.stop_reason = reason
-            return self.stop_reason
-        return self._run_raw(max_instructions)
-
-    def _run_raw(self, max_instructions: int = 400_000_000) -> str:
-        self.stop_reason = None
-        self.stopped_watch = None
-        if not self._started:
-            self._started = True
-            self.cpu.pc = self.session.loaded.entry
-            self.cpu.npc = self.cpu.pc + 4
-            self.session.mark_started()
-        self.cpu.run(start=None, max_instructions=max_instructions)
-        if self.stop_reason is None:
-            self.stop_reason = "exited"
-        return self.stop_reason
+        "breakpoint:<func>").  Retires at least one instruction, and
+        raises a resumable :class:`~repro.machine.cpu.SimulationLimit`
+        when *max_instructions* run out with the program still live."""
+        reason = self.step(max(1, max_instructions))
+        if reason == "step":
+            cpu = self.cpu
+            raise SimulationLimit(
+                "exceeded %d instructions budget" % max_instructions,
+                budget="instructions", pc=cpu.pc, cycles=cpu.cycles,
+                instructions=cpu.instructions, traps=cpu.traps_taken)
+        return reason
 
     def step(self, count: int = 1) -> str:
         """Execute up to *count* instructions; returns the stop reason
         ("exited", "watch", "breakpoint:<func>", or "step" when the
-        count ran out with the program still live)."""
-        reason = self._step_raw(count)
-        if self._recorder is not None and self._recorder.active and \
-                self._recorder.mode == "record":
-            recorder = self._recorder
-            recorder.end_index = max(recorder.end_index,
-                                     self.cpu.instructions)
-            recorder.end_progress = max(recorder.end_progress,
-                                        recorder._progress())
-        return reason
+        count ran out with the program still live).  Under an active
+        recording :meth:`Recorder.resume
+        <repro.replay.recorder.Recorder.resume>` moves the debuggee, so
+        keyframes are captured and verified as the recording goes."""
+        if self._recorder is None:
+            return self._step_raw(count)
+        return self._recorder.resume(count)
 
     def _step_raw(self, count: int = 1) -> str:
+        """Execute up to *count* instructions with no recording
+        bookkeeping: the primitive under :meth:`step` and the
+        recorder's chunks, and the only code that starts the program.
+        Once the program has exited it executes nothing."""
         self.stop_reason = None
         self.stopped_watch = None
         cpu = self.cpu
-        if not self._started:
-            self._started = True
-            cpu.pc = self.session.loaded.entry
-            cpu.npc = cpu.pc + 4
-            self.session.mark_started()
-        # run_steps() is bit-exact with *count* single steps: monitor
-        # checks, breakpoints and watch traps all live in trap/patch
-        # instructions, which never compile into fast-path blocks
-        cpu.run_steps(count)
+        if cpu.running or cpu.exit_code is None:
+            if not self._started:
+                self._started = True
+                cpu.pc = self.session.loaded.entry
+                cpu.npc = cpu.pc + 4
+                self.session.mark_started()
+            # run_steps() is bit-exact with *count* single steps:
+            # monitor checks, breakpoints and watch traps all live in
+            # trap/patch instructions, which never compile into
+            # fast-path blocks
+            cpu.run_steps(count)
         if not cpu.running and cpu.exit_code is not None:
             self.stop_reason = "exited"
         elif self.stop_reason is None:

@@ -70,7 +70,7 @@ int main() {
 """
 
 
-def sweep_window_bulk(scale: float = 0.5) -> Dict[int, float]:
+def sweep_window_bulk() -> Dict[int, float]:
     """Bitmap overhead with single-window vs bulk spill traps.
 
     Procedure-call checks at steady deep recursion trap on *every*
@@ -131,7 +131,7 @@ def main(scale: float = 0.5) -> Dict[str, object]:
     for size, overhead in cache.items():
         print("  %4d KB: %6.1f%%" % (size // 1024, overhead))
 
-    bulk = sweep_window_bulk(scale=scale)
+    bulk = sweep_window_bulk()
     results["window_bulk"] = bulk
     print("Deep recursion vs window-trap bulk (note: single-window "
           "traps slow the *baseline* too, shrinking relative overhead):")

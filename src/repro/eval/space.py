@@ -60,7 +60,7 @@ def main(scale: float = 1.0,
     workloads = workloads or WORKLOAD_ORDER
     results = {name: measure_workload(name, scale) for name in workloads}
     print("Bitmap space overhead (worst case: entire data segment "
-          "monitored); paper: ~3%%")
+          "monitored); paper: ~3%")
     print("%-18s %10s %10s %10s %9s" % ("Program", "total",
                                         "data+heap", "bitmap",
                                         "bitmap/data"))

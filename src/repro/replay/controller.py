@@ -3,7 +3,8 @@
 The controller answers "what happened before now?" questions with the
 only primitive a deterministic simulator needs: restore the nearest
 keyframe at or before the target and re-execute forward with the MRS
-armed.  Re-execution runs in the recorder's ``replay`` mode, so every
+armed.  Re-execution goes through :meth:`Recorder.resume`, the loop
+``run`` and ``step`` use, in the recorder's ``replay`` mode, so every
 monitor hit is verified against the recorded trace and every keyframe
 crossing checks a state digest — a drifted replay raises
 :class:`~repro.errors.DivergenceError` instead of stopping at a wrong
@@ -25,7 +26,7 @@ point in time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.errors import DivergenceError, ReplayError
 from repro.replay.recorder import Recorder
@@ -57,17 +58,15 @@ class ReplayController:
     # -- travel ------------------------------------------------------------
 
     def travel_to(self, target: int) -> None:
-        """Move the debuggee to instruction index *target* (within the
-        recorded window) by keyframe restore + verified re-execution."""
+        """Move the debuggee back to instruction index *target* (within
+        the recorded window): restore the nearest keyframe at or before
+        it, then re-execute forward through :meth:`Recorder.resume`,
+        which verifies each hit and keyframe on the way."""
         recorder = self.recorder
+        cpu = self.cpu
         target = max(recorder.start_index,
                      min(target, recorder.end_index))
-        now = self.cpu.instructions
-        if target == now:
-            return
-        if target > now and recorder.mode == "replay":
-            # forward travel inside recorded time: no restore needed
-            self._replay_forward(target)
+        if target == cpu.instructions:
             return
         keyframe = recorder.nearest_keyframe(target)
         if keyframe is None:
@@ -80,45 +79,33 @@ class ReplayController:
             # (its capture must have faulted); re-execution across the
             # change cannot reproduce the recording
             raise ReplayError(
-                "cannot replay across a monitor-set change "
-                "(keyframe at %d, target %d)" % (keyframe.index, target),
+                "cannot replay across a monitor-set change (keyframe at "
+                "%d, target %d)" % (keyframe.index, target),
                 keyframe=keyframe.index, target=target)
         recorder.restore_keyframe(keyframe)
-        self._replay_forward(target)
+        if keyframe.index == target:
+            # landed by restore alone: verify it as re-execution landing
+            # here would have
+            recorder.check_keyframe_digest(keyframe)
+        spent = recorder.wall_time_s
+        try:
+            while cpu.instructions < target:
+                # stop-action watchpoints fire during replay too; they
+                # are overridden until the target is reached
+                reason = recorder.resume(target - cpu.instructions)
+                if reason == "exited" and cpu.instructions < target:
+                    raise DivergenceError(
+                        "program exited early during replay",
+                        index=cpu.instructions, target=target,
+                        observed_pc=cpu.pc)
+        finally:
+            # re-executing recorded time is travel, not recording
+            recorder.wall_time_s = spent
         if any(target < change <= recorder.end_index
                for change in recorder.monitor_changes):
             # the future beyond target assumed a different monitor set;
             # it cannot be verified from here, so fork the timeline
             recorder.truncate_future(target)
-
-    def _replay_forward(self, target: int) -> None:
-        debugger = self.debugger
-        cpu = self.cpu
-        recorder = self.recorder
-        while cpu.instructions < target:
-            boundary = target
-            for keyframe in recorder.keyframes:
-                if cpu.instructions < keyframe.index < target:
-                    boundary = keyframe.index
-                    break
-            reason = debugger._step_raw(boundary - cpu.instructions)
-            if cpu.instructions == boundary and boundary < target:
-                for keyframe in recorder.keyframes:
-                    if keyframe.index == boundary:
-                        recorder.check_keyframe_digest(keyframe)
-                        break
-            if reason == "exited" and cpu.instructions < target:
-                raise DivergenceError(
-                    "program exited early during replay",
-                    index=cpu.instructions, target=target,
-                    observed_pc=cpu.pc)
-            # stop-action watchpoints fire during replay too; they are
-            # overridden until the target is reached (the next _step_raw
-            # resumes the stopped CPU)
-        for keyframe in recorder.keyframes:
-            if keyframe.index == target:
-                recorder.check_keyframe_digest(keyframe)
-                break
 
     # -- reverse execution --------------------------------------------------
 
@@ -260,10 +247,3 @@ class ReplayController:
             return None
         return LastWrite(last.pc, last.index, last.old, last.new,
                          last.addr, last.size, "scan")
-
-    # -- introspection -------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        stats = self.recorder.stats()
-        stats["now"] = self.cpu.instructions
-        return stats

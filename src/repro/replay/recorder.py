@@ -4,6 +4,9 @@ The recorder drives the debuggee in keyframe-stride chunks, capturing
 a full debugger checkpoint (machine + MRS + watchpoint bookkeeping)
 every ``stride`` instructions into a bounded ring, and logging every
 monitor notification into a :class:`~repro.replay.trace.WriteTrace`.
+:meth:`Recorder.resume` is the one loop that moves a recorded debuggee
+forward: ``Debugger.run``, ``Debugger.step`` and time travel all go
+through it.
 The simulator has no external inputs, so a keyframe plus forward
 re-execution reproduces any recorded point exactly — that is the whole
 replay contract, and the recorder verifies it: while re-executing over
@@ -34,7 +37,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import DivergenceError, InjectedFault, ReplayError
 from repro.faults import REPLAY_KEYFRAME
-from repro.machine.cpu import SimulationLimit
 from repro.machine.state import memory_bytes, patch_bytes
 from repro.replay.trace import WriteRecord, WriteTrace
 
@@ -130,15 +132,13 @@ class Recorder:
         self.start_index = 0
         #: frontier: highest instruction index recorded so far
         self.end_index = 0
-        #: frontier progress in monitoring-invariant instructions
-        #: (orig + lib tags) — the stop criterion for scan re-execution
-        self.end_progress = 0
         self._cursor: Optional[int] = None
         self._scan_hits: Optional[List[WriteRecord]] = None
         self._in_hook = False
-        #: wall-clock seconds spent inside resume() — recording cost,
-        #: reported to the store's run header (not part of the trace
-        #: bytes: wall time is not deterministic)
+        #: wall-clock seconds spent inside resume() by run and step —
+        #: recording cost, reported to the store's run header (not part
+        #: of the trace bytes: wall time is not deterministic); time
+        #: travel leaves it unchanged
         self.wall_time_s = 0.0
 
     # -- run metadata ------------------------------------------------------
@@ -181,7 +181,6 @@ class Recorder:
             raise ReplayError("recording already active")
         self.active = True
         self.start_index = self.end_index = self.cpu.instructions
-        self.end_progress = self._progress()
         for region in self.debugger.mrs.regions:
             self._cover_region(region.start, region.size,
                                self.start_index)
@@ -197,10 +196,6 @@ class Recorder:
             self.debugger.mrs.callbacks.remove(self._on_hit)
         except ValueError:
             pass
-
-    def _progress(self) -> int:
-        counts = self.cpu.tag_counts
-        return counts.get("orig", 0) + counts.get("lib", 0)
 
     # -- shadow / coverage -------------------------------------------------
 
@@ -250,6 +245,12 @@ class Recorder:
                 del self.coverage[key]
         for start, size in current:
             self._cover_region(start, size, now)
+        if self.keyframes and self.keyframes[-1].index == now:
+            # captured before the change (a stride boundary, the
+            # recording's start or an earlier change at this index):
+            # replace it, so restoring this index yields the state the
+            # change left
+            self.keyframes.pop()
         self._capture_keyframe()
 
     def truncate_future(self, now: int) -> None:
@@ -265,7 +266,6 @@ class Recorder:
         self.monitor_changes = [index for index in self.monitor_changes
                                 if index <= now]
         self.end_index = now
-        self.end_progress = self._progress()
         self.mode = "record"
         self._cursor = None
 
@@ -388,37 +388,31 @@ class Recorder:
 
     # -- driving execution --------------------------------------------------
 
-    def resume(self, max_instructions: int = 400_000_000) -> str:
-        """Run (or resume) the debuggee under recording.
+    def resume(self, count: int = 400_000_000) -> str:
+        """Move the debuggee up to *count* instructions forward — the
+        one loop that does so under a recording, behind
+        :meth:`Debugger.run`, :meth:`Debugger.step` and time travel.
 
         Steps in chunks that land exactly on keyframe boundaries.  Over
-        already-recorded time the recorder verifies; past the frontier
-        it records.  On budget exhaustion raises a resumable
-        :class:`~repro.machine.cpu.SimulationLimit`, mirroring
-        the watchdog contract the server's quota relies on.
+        already-recorded time it verifies (each monitor hit against the
+        trace, each keyframe it lands on against its digest) and hands
+        off to recording at the frontier; past it, it captures a
+        keyframe at each stride boundary.  Returns the stop reason:
+        "exited", "watch", "breakpoint:<func>", or "step" when *count*
+        ran out with the program still live.
         """
         debugger = self.debugger
         cpu = self.cpu
-        if not cpu.running and cpu.exit_code is not None:
-            return "exited"
-        budget_end = cpu.instructions + max_instructions
+        end = cpu.instructions + count
         begin = time.perf_counter()
         try:
             while True:
                 boundary = self._next_boundary()
-                chunk = min(boundary, budget_end) - cpu.instructions
-                reason = debugger._step_raw(max(chunk, 1))
+                reason = debugger._step_raw(min(boundary, end)
+                                            - cpu.instructions)
                 self._after_chunk(boundary)
-                if reason != "step":
-                    # exited, stopped at a watchpoint, or at a breakpoint
+                if reason != "step" or cpu.instructions >= end:
                     return reason
-                if cpu.instructions >= budget_end:
-                    raise SimulationLimit(
-                        "recording: exceeded %d instructions budget"
-                        % max_instructions, budget="instructions",
-                        pc=cpu.pc, cycles=cpu.cycles,
-                        instructions=cpu.instructions,
-                        traps=cpu.traps_taken)
         finally:
             self.wall_time_s += time.perf_counter() - begin
 
@@ -436,9 +430,9 @@ class Recorder:
             boundary += self.stride
         return boundary
 
-    def _after_chunk(self, boundary: int) -> bool:
-        """Bookkeeping after a step chunk; True if the chunk landed
-        exactly on *boundary*."""
+    def _after_chunk(self, boundary: int) -> None:
+        """Verify or record what a step chunk reached, on *boundary* or
+        short of it."""
         now = self.cpu.instructions
         landed = now == boundary
         if self.mode == "replay":
@@ -453,12 +447,10 @@ class Recorder:
                 # caught up with the frontier: record from here on
                 self.mode = "record"
                 self._cursor = None
-            return landed
+            return
         self.end_index = max(self.end_index, now)
-        self.end_progress = max(self.end_progress, self._progress())
         if landed:
             self._capture_keyframe()
-        return landed
 
     def stats(self) -> Dict[str, Any]:
         return {

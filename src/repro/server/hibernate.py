@@ -396,7 +396,7 @@ def freeze_managed(managed) -> FrozenSession:
             "counters cannot hibernate" % managed.id,
             reason="unsupported", session=managed.id)
 
-    checkpoint, watchpoints, state = debugger.checkpoint()
+    checkpoint, (watchpoints, _breakpoints), state = debugger.checkpoint()
     # each watchpoint as the setDataBreakpoints spec that re-creates
     # it: the predicate recompiles from its source text on thaw
     breakpoints = [{
@@ -518,7 +518,10 @@ def rebuild_managed(frozen: FrozenSession):
         watchpoints.append(watchpoint)
         breakpoints[data_id] = watchpoint
 
-    debugger.restore((checkpoint, watchpoints, frozen.debugger_state))
+    # the wire protocol places no control breakpoints: the table thaws
+    # empty
+    debugger.restore((checkpoint, (watchpoints, []),
+                      frozen.debugger_state))
     session = frozen.session_state
     debugger.session.output[:] = session["output"]
 

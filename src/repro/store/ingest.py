@@ -83,9 +83,10 @@ def export_recording(recorder,
     image = recorder.debugger.cpu.code.image
     keyframes = []
     for keyframe in recorder.keyframes:
-        # of the debugger's (machine snapshot, watchpoints, state)
-        # triple only the machine snapshot is exported — and only it
-        # is needed to anchor analytics in execution time
+        # of the debugger's (machine snapshot, (watchpoints,
+        # breakpoints), state) triple only the machine snapshot is
+        # exported — and only it is needed to anchor analytics in
+        # execution time
         payload = encode_state(keyframe.checkpoint[0], image)
         keyframes.append(KeyframeExport(
             keyframe.index, keyframe.trace_pos, keyframe.digest,

@@ -479,3 +479,215 @@ class TestSessionRewindHooks:
         checkpoint.restore(cpu)
         assert (cpu._window_depth, cpu.max_window_depth,
                 cpu.running, cpu.exit_code) == saved
+
+
+def record_steps(stride, count, steps=None):
+    """A recording of SOURCE driven by ``step(count)`` until it exits
+    (or for *steps* calls)."""
+    debugger = make_debugger()
+    debugger.watch("total", action="log")
+    recorder = debugger.record(stride=stride)
+    calls = 0
+    while debugger.step(count) != "exited":
+        calls += 1
+        if calls == steps:
+            break
+    return debugger, recorder
+
+
+class TestOneForwardLoop:
+    """``run``, ``step`` and time travel all move a recorded debuggee
+    through ``Recorder.resume``: stepping verifies, records and captures
+    keyframes exactly as running does."""
+
+    def test_step_past_the_frontier_after_travel_records(self):
+        debugger, recorder = record_steps(50, 200, steps=1)
+        frontier = recorder.end_index
+        recorded = recorder.trace.total
+        debugger.reverse_step(30)
+        # crosses one recorded hit (verified), the frontier, then new
+        # hits (recorded)
+        assert debugger.step(400) == "step"
+        assert recorder.mode == "record"
+        assert recorder.end_index == frontier - 30 + 400
+        new = [record for record in recorder.trace
+               if record.stop_index > frontier]
+        assert new and recorder.trace.total == recorded + len(new)
+        reference, straight = record_steps(50, frontier - 30 + 400,
+                                           steps=1)
+        assert recorder.trace.to_bytes() == straight.trace.to_bytes()
+        assert state_digest(debugger.cpu) == state_digest(reference.cpu)
+
+    def test_stepping_captures_keyframes_as_run_does(self):
+        _debugger, ran, _w = record_run(stride=50)
+        debugger, stepped = record_steps(50, 37)
+        assert len(stepped.keyframes) > 1
+        assert [keyframe.index for keyframe in stepped.keyframes] == \
+            [keyframe.index for keyframe in ran.keyframes]
+        assert [keyframe.digest for keyframe in stepped.keyframes] == \
+            [keyframe.digest for keyframe in ran.keyframes]
+        assert stepped.trace.to_bytes() == ran.trace.to_bytes()
+        # a step back re-executes less than a stride, not the recording
+        assert debugger.reverse_step(1) == "step"
+        here = debugger.cpu.instructions
+        assert here - stepped.nearest_keyframe(here).index < 50
+
+    @pytest.mark.parametrize("forward", ["run", "step"])
+    def test_tampered_keyframe_digest_stops_forward_replay(self, forward):
+        debugger, recorder, _w = record_run(stride=100)
+        tampered = recorder.keyframes[3]
+        tampered.digest ^= 0xDEAD
+        debugger.reverse_step(debugger.cpu.instructions
+                              - (tampered.index - 50))
+        with pytest.raises(DivergenceError) as excinfo:
+            getattr(debugger, forward)(10 ** 6)
+        assert excinfo.value.context["index"] == tampered.index
+        assert debugger.cpu.instructions == tampered.index
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_run_and_step_after_exit_return_exited(self, recorded):
+        debugger = make_debugger()
+        debugger.watch("total", action="log")
+        if recorded:
+            debugger.record(stride=50)
+        assert debugger.run() == "exited"
+        end = (debugger.cpu.instructions, list(debugger.output))
+        for forward in (debugger.run, debugger.step,
+                        lambda: debugger.step(25)):
+            assert forward() == "exited"
+            assert debugger.stop_reason == "exited"
+            assert (debugger.cpu.instructions,
+                    list(debugger.output)) == end
+
+    def test_run_after_travel_and_exit_returns_exited(self):
+        debugger, _recorder, _w = record_run(stride=50)
+        end = debugger.cpu.instructions
+        debugger.reverse_step(40)
+        assert debugger.step(100) == "exited"
+        assert debugger.cpu.instructions == end
+        assert debugger.run() == "exited"
+        assert debugger.step() == "exited"
+        assert debugger.cpu.instructions == end
+
+    def test_travel_leaves_recording_wall_time_unchanged(self):
+        debugger, recorder, _w = record_run()
+        spent = recorder.wall_time_s
+        assert spent > 0
+        assert debugger.reverse_continue() == "watch"
+        assert debugger.reverse_step(25) == "step"
+        assert debugger.reverse_continue() == "watch"
+        assert recorder.wall_time_s == spent
+        # forward execution under the recording is still counted
+        assert debugger.run() == "exited"
+        assert recorder.wall_time_s > spent
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_run_zero_retires_one_instruction_then_limits(self, recorded):
+        from repro.machine.cpu import SimulationLimit
+
+        debugger = make_debugger()
+        if recorded:
+            debugger.record(stride=50)
+        with pytest.raises(SimulationLimit) as excinfo:
+            debugger.run(0)
+        assert excinfo.value.budget == "instructions"
+        assert debugger.cpu.instructions == 1
+        with pytest.raises(SimulationLimit):
+            debugger.run(30)
+        assert debugger.cpu.instructions == 31
+        assert debugger.run() == "exited"
+        assert "".join(debugger.output).strip() == "15"
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_step_zero_retires_nothing(self, recorded):
+        debugger = make_debugger()
+        if recorded:
+            debugger.record(stride=50)
+        assert debugger.step(0) == "step"
+        assert debugger.cpu.instructions == 0
+        assert debugger.step(7) == "step"
+        assert debugger.step(0) == "step"
+        assert debugger.cpu.instructions == 7
+
+
+class TestControlBreakpointsAcrossTravel:
+    def test_travel_back_past_break_at_drops_the_breakpoint(self):
+        debugger = make_debugger()
+        recorder = debugger.record(stride=20)
+        assert debugger.step(150) == "step"
+        placed = debugger.cpu.instructions
+        breakpoint = debugger.break_at("bump")
+        assert debugger.run() == "breakpoint:bump"
+        entered = debugger.cpu.instructions
+        assert breakpoint.hits == 1
+        # after the break, before its first hit: listed, hit count 0
+        debugger.reverse_step(entered - placed - 5)
+        assert list(debugger.breakpoints.values()) == [breakpoint]
+        assert breakpoint.hits == 0
+        # before the break: the patch and the table entry are gone
+        debugger.reverse_step(25)
+        assert recorder.end_index == placed - 20
+        assert debugger.breakpoints == {}
+        again = debugger.break_at("bump")
+        assert debugger.run() == "breakpoint:bump"
+        assert again.hits == 1
+        assert debugger.breakpoints == {again.block_addr: again}
+
+
+class TestMonitorChangeOnAStrideBoundary:
+    """A breakpoint or watchpoint set where a keyframe was just captured
+    (at a stride boundary, or where the recording starts) replaces that
+    keyframe, so travelling back to the change, or just after it,
+    restores the changed state."""
+
+    @pytest.mark.parametrize("after", [0, 5])
+    def test_break_at_survives_travel_back(self, after):
+        debugger = make_debugger()
+        recorder = debugger.record(stride=20)
+        assert debugger.step(160) == "step"
+        placed = debugger.cpu.instructions
+        assert recorder.keyframes[-1].index == placed
+        breakpoint = debugger.break_at("bump")
+        assert debugger.run() == "breakpoint:bump"
+        entered = debugger.cpu.instructions
+        debugger.reverse_step(entered - placed - after)
+        assert debugger.cpu.instructions == placed + after
+        assert list(debugger.breakpoints.values()) == [breakpoint]
+        assert breakpoint.hits == 0
+        assert debugger.run() == "breakpoint:bump"
+        assert debugger.cpu.instructions == entered
+        assert breakpoint.hits == 1
+        assert debugger.run() == "breakpoint:bump"
+        assert breakpoint.hits == 2
+
+    @pytest.mark.parametrize("after", [0, 5])
+    def test_watch_survives_travel_back(self, after):
+        debugger = make_debugger()
+        recorder = debugger.record(stride=20)
+        assert debugger.step(160) == "step"
+        placed = debugger.cpu.instructions
+        assert recorder.keyframes[-1].index == placed
+        watchpoint = debugger.watch("total", action="stop")
+        assert debugger.run() == "watch"
+        hit = debugger.cpu.instructions
+        debugger.reverse_step(hit - placed - after)
+        assert debugger.cpu.instructions == placed + after
+        assert debugger.watchpoints == [watchpoint]
+        assert debugger.run() == "watch"
+        assert debugger.cpu.instructions == hit
+        while debugger.run() != "exited":
+            pass
+        assert "".join(debugger.output).strip() == "15"
+
+    def test_break_at_right_after_record_survives_travel_to_start(self):
+        debugger = make_debugger()
+        recorder = debugger.record(stride=20)
+        breakpoint = debugger.break_at("bump")
+        assert [keyframe.index for keyframe in recorder.keyframes] == [0]
+        assert debugger.run() == "breakpoint:bump"
+        entered = debugger.cpu.instructions
+        assert debugger.reverse_continue() == "replay-start"
+        assert debugger.cpu.instructions == 0
+        assert list(debugger.breakpoints.values()) == [breakpoint]
+        assert debugger.run() == "breakpoint:bump"
+        assert debugger.cpu.instructions == entered

@@ -418,6 +418,73 @@ class TestTimeTravel:
             assert stop["instructions"] == 0
 
 
+class TestForwardLoopOverSocket:
+    """``step`` and ``continue`` move a recorded session through the
+    recorder, as time travel does, and report an exited program as
+    exited."""
+
+    def test_step_after_step_back_records_past_the_frontier(self, server):
+        with client_for(server) as client:
+            client.initialize()
+            session_id = client.launch(SOURCE, record={"stride": 50})
+            info = client.data_breakpoint_info(session_id, "total")
+            client.set_data_breakpoints(
+                session_id, [{"dataId": info["dataId"], "stop": False}])
+            stop = client.step(session_id, count=100)
+            assert stop["reason"] == "step"
+            frontier = stop["instructions"]
+            stop = client.step_back(session_id, count=10)
+            assert stop["instructions"] == frontier - 10
+            # across recorded hits, the frontier and new hits
+            stop = client.step(session_id, count=200)
+            assert stop["reason"] == "step"
+            assert stop["instructions"] == frontier + 190
+            body = client.last_write(session_id, "total")
+            assert body["source"] == "trace"
+            assert frontier < body["instruction"] < frontier + 190
+            assert run_to_exit(client, session_id)["exitCode"] == 0
+            assert client.evaluate(session_id, "total")["value"] == 190
+
+    @pytest.mark.parametrize("record", [None, {"stride": 50}])
+    def test_continue_and_step_after_exit_report_exited(self, server,
+                                                        record):
+        with client_for(server) as client:
+            client.initialize()
+            options = {} if record is None else {"record": record}
+            session_id = client.launch(SOURCE, **options)
+            end = run_to_exit(client, session_id)["instructions"]
+            for request in (client.cont, client.step):
+                stop = request(session_id)
+                assert stop["reason"] == "exited"
+                assert stop["exited"] is True
+                assert stop["exitCode"] == 0
+                assert stop["instructions"] == end
+
+
+    def test_data_breakpoint_set_on_a_stride_boundary_survives_step_back(
+            self, server):
+        with client_for(server) as client:
+            client.initialize()
+            session_id = client.launch(SOURCE, record={"stride": 50})
+            stop = client.step(session_id, count=100)
+            placed = stop["instructions"]
+            assert placed == 100
+            info = client.data_breakpoint_info(session_id, "total")
+            client.set_data_breakpoints(
+                session_id, [{"dataId": info["dataId"], "stop": True}])
+            stop = client.cont(session_id)
+            assert stop["reason"] == "watch"
+            hit = stop["instructions"]
+            stop = client.step_back(session_id, count=hit - placed - 5)
+            assert stop["instructions"] == placed + 5
+            # the data breakpoint set at 100 is still armed at 105
+            stop = client.cont(session_id)
+            assert stop["reason"] == "watch"
+            assert stop["instructions"] == hit
+            assert run_to_exit(client, session_id)["exitCode"] == 0
+            assert client.evaluate(session_id, "total")["value"] == 190
+
+
 class TestReRunnableSession:
     """Satellite: DebugSession.run() must not double-count on re-run."""
 
