@@ -136,8 +136,8 @@ def audit_asm(asm: str, mode: Optional[str] = "ipa",
     for name, func in monitors:
         debugger.watch(name, func=func, action="log")
 
-    regions = sorted({(ref[0].start, ref[0].size)
-                      for ref in debugger._region_refs.values()})
+    regions = sorted({watchpoint.region.key()
+                      for watchpoint in debugger.watchpoints})
     expected = _ground_truth_hits(base.cpu.write_trace, regions)
 
     recorder = debugger.record(max_trace=_MAX_TRACE)

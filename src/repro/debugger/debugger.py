@@ -50,9 +50,10 @@ class Watchpoint:
     (``"rise"`` / ``"fall"`` / ``"change"``, None for level-triggered);
     *access* filters hit kinds (``"read"`` / ``"write"`` /
     ``"readWrite"``, None for the historical any-access behaviour).
-    The ``shadow`` / ``truth`` / ``stats`` fields belong to the
+    The ``truth`` / ``stats`` fields belong to the
     :class:`~repro.watchpoints.engine.WatchpointEngine` and are seeded
     at arm time; :meth:`Debugger.checkpoint` captures them by value.
+    Old values live once per session, in :attr:`Debugger.shadow`.
     """
 
     def __init__(self, debugger: "Debugger", name: str, entry: SymEntry,
@@ -86,7 +87,6 @@ class Watchpoint:
         #: answer hits from a seed-time cache
         self.invariant = False
         # engine state (per-watchpoint; checkpointed by value)
-        self.shadow: Dict[int, int] = {}
         self.truth: Optional[bool] = None
         self.record_truth: Optional[bool] = None
         self.cached_truth: Optional[bool] = None
@@ -142,10 +142,15 @@ class Debugger:
         self.cpu = session.cpu
         self.symtab = session.program.symtab
         self.engine = WatchpointEngine(self)
+        #: watchpoints on the same storage share one monitored region
+        #: (regions must not overlap); the list is the only record of
+        #: which regions this debugger armed
         self.watchpoints: List[Watchpoint] = []
-        #: (start, size) -> [region, refcount]: watchpoints on the same
-        #: storage share one monitored region (regions must not overlap)
-        self._region_refs: Dict[Tuple[int, int], list] = {}
+        #: word -> its value before the next write, over every word of
+        #: every region watch() created: §2.1 checks run after the
+        #: store lands, so this is the only copy of the overwritten
+        #: value (``$old``, ``WriteRecord.old``)
+        self.shadow: Dict[int, int] = {}
         self.breakpoints: Dict[int, Breakpoint] = {}
         self.stop_reason: Optional[str] = None
         self.stopped_watch: Optional[Watchpoint] = None
@@ -254,16 +259,17 @@ class Debugger:
         # §4.2 protocol: patch known writes first, then create the region
         self.mrs.pre_monitor(watchpoint.entry.name, func)
         key = watchpoint.region_key
-        ref = self._region_refs.get(key)
-        if ref is None:
+        region = next((other.region for other in self.watchpoints
+                       if other.region.key() == key), None)
+        if region is None:
             # a watch placed while stopped mid-run must re-insert checks
             # in loops whose pre-headers already executed this entry
             region = self.mrs.create_region(*key,
                                             mid_run=self._started)
-            ref = [region, 0]
-            self._region_refs[key] = ref
-        ref[1] += 1
-        watchpoint.region = ref[0]
+            mem = self.cpu.mem
+            for word in region.words():
+                self.shadow[word] = mem.read_word(word)
+        watchpoint.region = region
         self.watchpoints.append(watchpoint)
         try:
             self.engine.seed(watchpoint)
@@ -328,21 +334,33 @@ class Debugger:
     def unwatch(self, watchpoint: Watchpoint) -> None:
         if watchpoint not in self.watchpoints:
             return
-        self.watchpoints.remove(watchpoint)
         region = watchpoint.region
-        key = (region.start, region.size)
-        ref = self._region_refs.get(key)
-        if ref is not None:
-            ref[1] -= 1
-            if ref[1] <= 0:
-                self.mrs.delete_region(region)
-                del self._region_refs[key]
+        if not any(other is not watchpoint and other.region == region
+                   for other in self.watchpoints):
+            self.mrs.delete_region(region)
+            for word in region.words():
+                self.shadow.pop(word, None)
+        self.watchpoints.remove(watchpoint)
         self.mrs.post_monitor(watchpoint.entry.name, watchpoint.func)
         if self._recorder is not None:
             self._recorder.on_monitor_change()
 
     def _on_hit(self, addr: int, size: int, is_read: bool) -> None:
+        """The session's one MRS hook.  The engine's ``$old`` and the
+        recording's ``WriteRecord.old`` both read :attr:`shadow`; then
+        a write's words take their new values."""
         self.engine.on_hit(addr, size, is_read)
+        mem = self.cpu.mem
+        word = addr & ~3
+        if self._recorder is not None:
+            new = mem.read_word(word)
+            self._recorder.on_hit(addr, size, is_read,
+                                  self.shadow.get(word, new), new)
+        if not is_read:
+            shadow = self.shadow
+            for written in range(word, (addr + size + 3) & ~3, 4):
+                if written in shadow:
+                    shadow[written] = mem.read_word(written)
 
     def _fire(self, watchpoint: Watchpoint, addr: int, size: int,
               value: int) -> None:
@@ -442,9 +460,9 @@ class Debugger:
         breakpoint with its hit count: its code patch rewinds with the
         machine, so the table must too.  *state* holds per watchpoint,
         in list order, its hits and engine state, plus the log and
-        started flag — plain data that :meth:`restore` takes back after
-        a JSON round trip (hibernation writes it into the frozen
-        header).
+        started flag, and the old-value :attr:`shadow` as [word, value]
+        pairs — plain data that :meth:`restore` takes back after a JSON
+        round trip (hibernation writes it into the frozen header).
 
         Watchpoints may be added or removed between :meth:`restore` and
         the next :meth:`run` — the classic replay loop narrows in on a
@@ -460,12 +478,12 @@ class Debugger:
                 "enabled": w.enabled,
                 "truth": w.truth,
                 "recordTruth": w.record_truth,
-                "shadow": list(w.shadow.items()),
                 "stats": w.stats.as_tuple(),
                 "cachedTruth": w.cached_truth,
                 "disarm": None if w.disarm_error is None else
                 (w.disarm_error.args[0], w.disarm_error.reason),
             } for w in self.watchpoints],
+            "shadow": list(self.shadow.items()),
             "log": list(self.log),
             "started": self._started,
         }
@@ -495,25 +513,21 @@ class Debugger:
             breakpoint.hits = hits
             self.breakpoints[breakpoint.block_addr] = breakpoint
         self.watchpoints = list(watchpoints)
-        self._region_refs = {}
         for watchpoint, saved in zip(self.watchpoints,
                                      state["watchpoints"]):
             watchpoint.hits = list(map(tuple, saved["hits"]))
-            # engine state (transition truth, $old shadow, counters)
-            # rewinds with the machine, so replayed execution re-fires
-            # predicates exactly as the recording did
+            # engine state (transition truth, counters) rewinds with
+            # the machine, so replayed execution re-fires predicates
+            # exactly as the recording did
             watchpoint.enabled = saved["enabled"]
             watchpoint.truth = saved["truth"]
             watchpoint.record_truth = saved["recordTruth"]
-            watchpoint.shadow = dict(saved["shadow"])
             watchpoint.stats = WatchStats.from_tuple(saved["stats"])
             watchpoint.cached_truth = saved["cachedTruth"]
             disarm = saved["disarm"]
             watchpoint.disarm_error = None if disarm is None else \
                 PredicateError(disarm[0], reason=disarm[1])
-            region = watchpoint.region
-            ref = self._region_refs.setdefault(region.key(), [region, 0])
-            ref[1] += 1
+        self.shadow = dict(state["shadow"])
         self.log = list(state["log"])
         self._started = state["started"]
         self.stop_reason = None
@@ -523,8 +537,10 @@ class Debugger:
         """Reset the statistics a session entry rewind cannot see."""
         for watchpoint in self.watchpoints:
             watchpoint.hits = []
-        # memory is back at entry state: re-seed shadows and
+        # memory is back at entry state: re-seed old values and
         # transition truth from it (and reset the engine counters)
+        mem = self.cpu.mem
+        self.shadow = {word: mem.read_word(word) for word in self.shadow}
         self.engine.reseed_all()
         for breakpoint in self.breakpoints.values():
             breakpoint.hits = 0
@@ -592,10 +608,8 @@ class Debugger:
 
     def stop_record(self) -> None:
         """Discard the active recording (idempotent)."""
-        if self._recorder is not None:
-            self._recorder.detach()
-            self._recorder = None
-            self._replay = None
+        self._recorder = None
+        self._replay = None
 
     def _require_replay(self):
         from repro.replay import ReplayError

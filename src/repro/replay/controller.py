@@ -19,9 +19,12 @@ point in time.
   present, rewinds to the oldest keyframe, arms a temporary watchpoint
   over the region (``PreMonitor`` + ``CreateMonitoredRegion``, so
   optimizer-eliminated checks are re-inserted) and re-executes to the
-  current point in monitoring-invariant time (original + library
-  instruction counts, which an extra monitored region cannot perturb),
-  collecting hits; the present is then restored bit-exactly.
+  current point in monitoring-invariant time — the count of original
+  (``orig``) instructions, which an extra monitored region cannot
+  perturb, then on through inserted code up to the next original
+  instruction — collecting hits; the present is then restored
+  bit-exactly.  The ``lib`` count is not invariant: arming the scanned
+  region activates Kessler patches whose checks call the MRS library.
 """
 
 from __future__ import annotations
@@ -191,33 +194,25 @@ class ReplayController:
             raise ReplayError("no keyframes to scan from",
                               capture_faults=len(recorder.capture_faults))
         origin = recorder.keyframes[0]
-        counts = cpu.tag_counts
-        target_progress = counts.get("orig", 0) + counts.get("lib", 0)
+        target_progress = cpu.tag_counts.get("orig", 0)
         # save the present (including recorder state the scan perturbs)
         saved = debugger.checkpoint()
-        saved_shadow = dict(recorder._shadow)
         saved_mode, saved_cursor = recorder.mode, recorder._cursor
         saved_stop = (debugger.stop_reason, debugger.stopped_watch)
         hits: List[WriteRecord] = []
         recorder._in_hook = True
         try:
             recorder.restore_keyframe(origin, mode="scan")
-            # the scanned words were not in the keyframe's shadow (they
-            # were unmonitored at record time); at the origin, memory
-            # still holds their pre-write values — seed old-value capture
-            for word in range(start & ~3, (start + size + 3) & ~3, 4):
-                recorder._shadow.setdefault(word,
-                                            cpu.mem.read_word(word))
             recorder._scan_hits = hits
+            # arming seeds the debugger's shadow over the region from
+            # memory at the origin, so scanned hits carry true old values
             temp = debugger.watch(expression, func=func, action="log")
             exited = False
             while not exited:
-                progress = (cpu.tag_counts.get("orig", 0)
-                            + cpu.tag_counts.get("lib", 0))
-                # an orig/lib instruction advances progress by exactly
-                # one, so a chunk of `remaining` instructions can reach
-                # but never overshoot the target progress
-                remaining = target_progress - progress
+                # an orig instruction advances progress by exactly one,
+                # so a chunk of `remaining` instructions can reach but
+                # never overshoot the target progress
+                remaining = target_progress - cpu.tag_counts.get("orig", 0)
                 if remaining <= 0:
                     break
                 exited = debugger._step_raw(remaining) == "exited"
@@ -228,7 +223,7 @@ class ReplayController:
                 if exited:
                     break
                 insn = cpu.code.at(cpu.pc)
-                if insn is None or insn.tag in ("orig", "lib"):
+                if insn is None or insn.tag == "orig":
                     break
                 exited = debugger._step_raw(1) == "exited"
             temp.delete()
@@ -236,7 +231,6 @@ class ReplayController:
             recorder._scan_hits = None
             recorder._in_hook = False
             debugger.restore(saved, discard_recording=False)
-            recorder._shadow = saved_shadow
             recorder.mode, recorder._cursor = saved_mode, saved_cursor
             debugger.stop_reason, debugger.stopped_watch = saved_stop
         last: Optional[WriteRecord] = None

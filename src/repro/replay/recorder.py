@@ -1,9 +1,13 @@
 """Recorder: keyframe ring + write-trace capture during execution.
 
 The recorder drives the debuggee in keyframe-stride chunks, capturing
-a full debugger checkpoint (machine + MRS + watchpoint bookkeeping)
-every ``stride`` instructions into a bounded ring, and logging every
-monitor notification into a :class:`~repro.replay.trace.WriteTrace`.
+a full debugger checkpoint (machine + MRS + watchpoint bookkeeping,
+the debugger's old-value shadow included) every ``stride``
+instructions into a bounded ring, and logging every monitor
+notification the debugger's MRS hook hands it (:meth:`Recorder.on_hit`,
+with the old value read from that shadow) into a
+:class:`~repro.replay.trace.WriteTrace`.  The recorder holds no watch
+state of its own and registers no MRS callback.
 :meth:`Recorder.resume` is the one loop that moves a recorded debuggee
 forward: ``Debugger.run``, ``Debugger.step`` and time travel all go
 through it.
@@ -18,7 +22,9 @@ drift rather than silently answering from a wrong timeline.
 Keyframe ring eviction keeps geometric coverage: when the ring fills,
 the first and newest keyframes are kept, every other interior one is
 dropped, and the effective stride doubles — old history gets sparser
-instead of disappearing.
+instead of disappearing.  Keyframes captured at a monitor-set change
+are never thinned, and do not count against the ring's bound: replay
+must not re-execute across a change.
 
 Fault injection: each keyframe capture passes through the
 ``replay.keyframe`` injection point *before* the keyframe is
@@ -84,14 +90,13 @@ def monitor_set_digest(mrs) -> str:
 class Keyframe:
     """One point-in-time anchor: a checkpoint plus replay metadata."""
 
-    __slots__ = ("index", "checkpoint", "trace_pos", "shadow", "digest")
+    __slots__ = ("index", "checkpoint", "trace_pos", "digest")
 
     def __init__(self, index: int, checkpoint, trace_pos: int,
-                 shadow: Dict[int, int], digest: int):
+                 digest: int):
         self.index = index          #: cpu.instructions at capture
         self.checkpoint = checkpoint  #: Debugger.checkpoint() payload
         self.trace_pos = trace_pos  #: trace.total at capture
-        self.shadow = shadow        #: monitored-word values at capture
         self.digest = digest        #: state_digest at capture
 
     def __repr__(self) -> str:
@@ -120,9 +125,6 @@ class Recorder:
         #: "record" (frontier), "replay" (verifying re-execution over
         #: recorded time), "scan" (transient last-write re-execution)
         self.mode = "record"
-        self.active = False
-        #: monitored-word -> last known value (for old-value capture)
-        self._shadow: Dict[int, int] = {}
         #: (region_start, region_size) -> covered-since index
         self.coverage: Dict[Tuple[int, int], int] = {}
         #: instruction indexes at which the monitor set changed
@@ -177,33 +179,12 @@ class Recorder:
 
     def start(self) -> None:
         """Begin recording from the debuggee's current state."""
-        if self.active:
-            raise ReplayError("recording already active")
-        self.active = True
         self.start_index = self.end_index = self.cpu.instructions
         for region in self.debugger.mrs.regions:
-            self._cover_region(region.start, region.size,
-                               self.start_index)
-        self.debugger.mrs.add_callback(self._on_hit)
+            self.coverage.setdefault(region.key(), self.start_index)
         self._capture_keyframe()
 
-    def detach(self) -> None:
-        """Stop recording and unhook from the MRS."""
-        if not self.active:
-            return
-        self.active = False
-        try:
-            self.debugger.mrs.callbacks.remove(self._on_hit)
-        except ValueError:
-            pass
-
-    # -- shadow / coverage -------------------------------------------------
-
-    def _cover_region(self, start: int, size: int, since: int) -> None:
-        self.coverage.setdefault((start, size), since)
-        mem = self.cpu.mem
-        for word in range((start & ~3), (start + size + 3) & ~3, 4):
-            self._shadow.setdefault(word, mem.read_word(word))
+    # -- coverage ----------------------------------------------------------
 
     def covered_since(self, start: int, size: int) -> Optional[int]:
         """Earliest index since which every word of ``[start,
@@ -232,19 +213,18 @@ class Recorder:
         diverge, since the change is a debugger action re-execution
         cannot reproduce).
         """
-        if not self.active or self._in_hook:
+        if self._in_hook:
             return
         now = self.cpu.instructions
         if now < self.end_index or self.mode == "replay":
             self.truncate_future(now)
         self.monitor_changes.append(now)
-        current = {(region.start, region.size)
-                   for region in self.debugger.mrs.regions}
+        current = {region.key() for region in self.debugger.mrs.regions}
         for key in list(self.coverage):
             if key not in current:
                 del self.coverage[key]
-        for start, size in current:
-            self._cover_region(start, size, now)
+        for key in current:
+            self.coverage.setdefault(key, now)
         if self.keyframes and self.keyframes[-1].index == now:
             # captured before the change (a stride boundary, the
             # recording's start or an earlier change at this index):
@@ -286,23 +266,26 @@ class Recorder:
                 self.faults.trip(REPLAY_KEYFRAME, index=index,
                                  pc=self.cpu.pc)
             keyframe = Keyframe(index, self.debugger.checkpoint(),
-                                self.trace.total, dict(self._shadow),
-                                state_digest(self.cpu))
+                                self.trace.total, state_digest(self.cpu))
         except InjectedFault as exc:
             self.capture_faults.append((index, exc))
             return None
         self.keyframes.append(keyframe)
-        if len(self.keyframes) > self.max_keyframes:
-            self._thin_keyframes()
+        changes = set(self.monitor_changes)
+        thinnable = [frame for frame in self.keyframes
+                     if frame.index not in changes]
+        if len(thinnable) > self.max_keyframes:
+            self._thin_keyframes(thinnable)
         return keyframe
 
-    def _thin_keyframes(self) -> None:
-        """Keep the first and newest keyframes, drop every other
-        interior one, and double the stride — bounded memory with
-        geometric history coverage."""
-        keyframes = self.keyframes
-        self.keyframes = (keyframes[:1] + keyframes[1:-1:2]
-                          + keyframes[-1:])
+    def _thin_keyframes(self, thinnable: List[Keyframe]) -> None:
+        """Of the *thinnable* keyframes (those not captured at a
+        monitor-set change, which replay must never cross), keep the
+        first and newest, drop every other interior one, and double the
+        stride — bounded memory with geometric history coverage."""
+        dropped = thinnable[2:-1:2]
+        self.keyframes = [keyframe for keyframe in self.keyframes
+                          if keyframe not in dropped]
         self.stride *= 2
 
     def nearest_keyframe(self, target: int) -> Optional[Keyframe]:
@@ -323,7 +306,6 @@ class Recorder:
                                   discard_recording=False)
         finally:
             self._in_hook = outer
-        self._shadow = dict(keyframe.shadow)
         self.mode = mode
         if mode == "replay":
             self._cursor = (keyframe.trace_pos
@@ -341,17 +323,16 @@ class Recorder:
                 expected_pc=keyframe.checkpoint[0].pc,
                 observed_pc=self.cpu.pc)
 
-    # -- the MRS notification hook ----------------------------------------
+    # -- monitor hits --------------------------------------------------------
 
-    def _on_hit(self, addr: int, size: int, is_read: bool) -> None:
+    def on_hit(self, addr: int, size: int, is_read: bool, old: int,
+               new: int) -> None:
+        """Log (or, over recorded time, verify) one monitor hit; the
+        debugger's MRS hook calls this with the accessed word's value
+        before and after the access."""
         cpu = self.cpu
-        word = addr & ~3
-        new = cpu.mem.read_word(word)
-        old = self._shadow.get(word, new)
         record = WriteRecord(cpu.instructions, cpu.pc, addr, size,
                              old, new, is_read)
-        if not is_read:
-            self._shadow[word] = new
         if self.mode == "scan":
             if self._scan_hits is not None:
                 self._scan_hits.append(record)

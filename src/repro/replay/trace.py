@@ -5,9 +5,10 @@ Every §2 monitor notification observed while recording becomes one
 — appended to a bounded :class:`WriteTrace` ring.  ``index`` is the
 debuggee instruction count at the notification trap and ``pc`` the
 trap's address, so a record names an exact point in deterministic
-execution time; ``old`` comes from the recorder's shadow copy of the
-monitored words (write checks run *after* the store lands, §2.1, so
-the overwritten value cannot be read back at notification time).
+execution time; ``old`` comes from the debugger's one old-value shadow
+of the watched words (write checks run *after* the store lands, §2.1,
+so the overwritten value cannot be read back at notification time) —
+the same copy the watchpoint engine's ``$old`` reads.
 
 The trace serialises to a canonical byte string (:meth:`to_bytes`)
 with a CRC-32 digest, which is what the determinism property tests
@@ -60,7 +61,7 @@ class WriteRecord(NamedTuple):
     pc: int         #: address of the notification trap
     addr: int       #: written (or read) address
     size: int       #: access width in bytes
-    old: int        #: word value before the access (shadow copy)
+    old: int        #: word value before the access (Debugger.shadow)
     new: int        #: word value after the access
     is_read: bool
 

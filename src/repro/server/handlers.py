@@ -17,7 +17,10 @@ Commands
     fault-plan spec so failure paths can be exercised server-side.
 ``dataBreakpointInfo`` / ``setDataBreakpoints``
     The DAP data-breakpoint pair: resolve a source name to a
-    ``dataId``, then declaratively replace the active breakpoint set.
+    ``dataId``, then declaratively replace the active breakpoint set —
+    every watchpoint on the debugger, whose list is the one record of
+    it: ``monitorHit``, ``hitBreakpointIds``, ``threads`` and
+    ``resume`` read each dataId off ``debugger.watchpoints``.
 ``continue`` / ``step``
     Run the debuggee under the per-request execution quota
     (PR 1's watchdog budgets re-used as a server resource limit);
@@ -142,7 +145,9 @@ def fault_plan_from_spec(spec: Dict[str, Any]) -> FaultPlan:
     """Build a :class:`FaultPlan` from its JSON representation.
 
     ``{"schedule": {"service.create_region": [0]}, "seed": 7,
-    "rate": 0.1, "maxFaults": 3, "maxInstructions": 100000, ...}``
+    "rate": 0.1, "maxFaults": 3}``.  No execution budget is taken: a
+    served session runs through ``Debugger.run``/``step``, which arm
+    no watchdog, so the per-request quota is the server's one budget.
     """
     schedule = None
     if spec.get("schedule"):
@@ -153,10 +158,7 @@ def fault_plan_from_spec(spec: Dict[str, Any]) -> FaultPlan:
                      seed=spec.get("seed"),
                      rate=spec.get("rate", 0.0),
                      points=spec.get("points"),
-                     max_faults=spec.get("maxFaults"),
-                     max_instructions=spec.get("maxInstructions"),
-                     max_cycles=spec.get("maxCycles"),
-                     max_traps=spec.get("maxTraps"))
+                     max_faults=spec.get("maxFaults"))
 
 
 def invalid_condition(text: str, exc) -> ProtocolError:
@@ -308,10 +310,11 @@ class RequestRouter:
             body: Dict[str, Any] = {"address": addr, "size": size,
                                     "isRead": is_read,
                                     "pc": debugger.cpu.pc}
-            for data_id, watchpoint in managed.breakpoints.items():
+            for watchpoint in debugger.watchpoints:
                 region = watchpoint.region
                 if addr < region.end and region.start < addr + size:
-                    body["dataId"] = data_id
+                    body["dataId"] = format_data_id(watchpoint.name,
+                                                    watchpoint.func)
                     body["symbol"] = watchpoint.name
                     # the write has landed by notification time: read
                     # the fresh word, not the last condition-recorded hit
@@ -355,9 +358,8 @@ class RequestRouter:
         def fn(managed: ManagedSession) -> Dict[str, Any]:
             debugger = managed.debugger
             # DAP replace semantics: clear the previous set first
-            for watchpoint in list(managed.breakpoints.values()):
+            for watchpoint in list(debugger.watchpoints):
                 debugger.unwatch(watchpoint)
-            managed.breakpoints.clear()
             results: List[Dict[str, Any]] = []
             for spec in specs:
                 data_id = spec.get("dataId")
@@ -397,7 +399,6 @@ class RequestRouter:
                                                     access=access)
                     except PredicateCompileError as exc:
                         raise invalid_condition(spec["condition"], exc)
-                    managed.breakpoints[data_id] = watchpoint
                     results.append({
                         "verified": True, "dataId": data_id,
                         "kind": watchpoint.kind,
@@ -425,10 +426,8 @@ class RequestRouter:
             body["exitCode"] = cpu.exit_code
         if reason == "watch" and debugger.stopped_watch is not None:
             watchpoint = debugger.stopped_watch
-            for data_id, candidate in managed.breakpoints.items():
-                if candidate is watchpoint:
-                    body["hitBreakpointIds"] = [data_id]
-                    break
+            body["hitBreakpointIds"] = [
+                format_data_id(watchpoint.name, watchpoint.func)]
             body["symbol"] = watchpoint.name
             body["value"] = watchpoint.last_value()
         return body
@@ -557,7 +556,7 @@ class RequestRouter:
                 "stopReason": managed.debugger.stop_reason
                 if managed.debugger is not None else None,
                 "instructionsSpent": managed.instructions_spent,
-                "breakpoints": len(managed.breakpoints)})
+                "breakpoints": len(managed.debugger.watchpoints)})
         return {"sessions": sessions,
                 "frozen": self.manager.frozen_ids()}
 
@@ -586,7 +585,9 @@ class RequestRouter:
                     "pc": debugger.cpu.pc,
                     "instructions": debugger.cpu.instructions,
                     "recording": debugger.recording,
-                    "breakpoints": sorted(managed.breakpoints),
+                    "breakpoints": sorted({
+                        format_data_id(watchpoint.name, watchpoint.func)
+                        for watchpoint in debugger.watchpoints}),
                     "instructionsSpent": managed.instructions_spent}
 
         return self.manager.with_session(session_id, fn)

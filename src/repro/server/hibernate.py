@@ -32,8 +32,9 @@ The JSON header carries everything needed to rebuild the session
 optimization mode), one wire-level breakpoint spec per watchpoint (so
 conditions are recompiled, not serialised), the plain-data ``state`` of
 :meth:`~repro.debugger.debugger.Debugger.checkpoint` verbatim (hit
-lists and engine state per watchpoint, log, started flag), server
-bookkeeping (output, stop reason), replay-recorder metadata, and the
+lists and engine state per watchpoint, the debugger's one old-value
+shadow, log, started flag), server bookkeeping (output, stop reason),
+replay-recorder metadata, and the
 :func:`~repro.replay.recorder.state_digest` of the CPU at freeze time
 — re-verified after restore, so a frozen file that restores to the
 wrong machine state is rejected instead of resumed.
@@ -70,7 +71,7 @@ __all__ = ["FORMAT_VERSION", "FrozenSession", "HibernationStore",
            "freeze_managed", "rebuild_managed"]
 
 MAGIC = b"RPRHIB1\n"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 #: refuse to parse headers larger than this (a torn length field must
 #: not make us allocate gigabytes)
 MAX_HEADER_BYTES = 1 << 24
@@ -432,10 +433,10 @@ def freeze_managed(managed) -> FrozenSession:
 def rebuild_managed(frozen: FrozenSession):
     """Thaw *frozen*: rebuild the debuggee and restore its state.
 
-    Returns ``(debugger, breakpoints)`` where *breakpoints* is the
-    ``dataId -> Watchpoint`` table.  The program is recompiled from its
-    recorded identity, the payload decoded against the rebuilt program
-    image, each watchpoint built by
+    Returns the :class:`~repro.debugger.debugger.Debugger`; the server
+    reads its dataIds off ``debugger.watchpoints``.  The program is
+    recompiled from its recorded identity, the payload decoded against
+    the rebuilt program image, each watchpoint built by
     :meth:`~repro.debugger.debugger.Debugger.new_watchpoint` and bound
     to its region in the frozen MRS, the snapshot applied by
     :meth:`~repro.debugger.debugger.Debugger.restore`, and the CPU
@@ -489,7 +490,6 @@ def rebuild_managed(frozen: FrozenSession):
     # the checkpoint already carries the MRS bookkeeping and patched
     # code, so nothing is armed again: each watchpoint only binds to
     # the region it shares in the frozen MRS
-    breakpoints: Dict[str, Any] = {}
     watchpoints = []
     for spec in frozen.breakpoints:
         data_id = spec["dataId"]
@@ -516,7 +516,6 @@ def rebuild_managed(frozen: FrozenSession):
                 % (frozen.session_id, data_id), reason="digest",
                 session=frozen.session_id, dataId=data_id)
         watchpoints.append(watchpoint)
-        breakpoints[data_id] = watchpoint
 
     # the wire protocol places no control breakpoints: the table thaws
     # empty
@@ -547,4 +546,4 @@ def rebuild_managed(frozen: FrozenSession):
         debugger.record(stride=record.get("stride"),
                         max_keyframes=record.get("maxKeyframes"),
                         max_trace=record.get("maxTrace"))
-    return debugger, breakpoints
+    return debugger

@@ -3,7 +3,8 @@
 A :class:`SessionManager` owns a table of :class:`ManagedSession`
 objects — each one a :class:`repro.debugger.Debugger` plus the
 bookkeeping the wire protocol needs (per-session lock, last-use stamp,
-event subscribers, the current data-breakpoint set).  The manager
+event subscribers).  The data-breakpoint set is the debugger's own
+watchpoint list; the server keeps no copy of it.  The manager
 enforces the server's resource policy:
 
 * **capacity** — at most ``max_sessions`` live sessions; creating one
@@ -79,8 +80,6 @@ class ManagedSession:
         #: per-connection event sinks subscribed to this session
         #: (snapshot/mutate only under :attr:`lock` — see :meth:`emit`)
         self.emitters: List[EventEmitter] = []
-        #: dataId -> live Watchpoint, as set by setDataBreakpoints
-        self.breakpoints: Dict[str, Any] = {}
         #: what :func:`build_debugger` builds the debuggee from (source,
         #: lang, strategy, ...); None for sessions the server cannot
         #: hibernate
@@ -330,7 +329,7 @@ class SessionManager:
             from repro.server.hibernate import rebuild_managed
             try:
                 frozen = self.store.load(session_id)
-                debugger, breakpoints = rebuild_managed(frozen)
+                debugger = rebuild_managed(frozen)
             except HibernationError as exc:
                 if exc.reason in ("torn", "digest", "format"):
                     # the file was quarantined: the id no longer resolves
@@ -344,7 +343,6 @@ class SessionManager:
                     error.context["quarantined"] = exc.quarantined
                 raise error from exc
             managed = ManagedSession(session_id, debugger)
-            managed.breakpoints = breakpoints
             managed.program_spec = dict(frozen.program)
             state = frozen.session_state
             managed.output_sent = int(state.get("outputSent") or 0)

@@ -16,7 +16,10 @@ has two halves:
 Transition watchpoints follow Arya et al. ("Transition Watchpoints:
 Teaching Old Debuggers New Tricks"): the watchpoint carries a shadow
 truth value, initialised from memory at arm time, and fires only when
-the predicate's truth *changes* on the selected edge.
+the predicate's truth *changes* on the selected edge.  Old values are
+not kept here: ``$old`` reads the debugger's one shadow of the watched
+words (``Debugger.shadow``), which the debugger's MRS hook hands the
+engine and the time-travel recorder alike.
 """
 
 from repro.errors import PredicateCompileError, PredicateError

@@ -15,9 +15,12 @@ watchpoints and decides — per watchpoint — whether the hit *fires*:
    :class:`~repro.watchpoints.predicate.Predicate` runs against a
    lazily-built :class:`~repro.watchpoints.predicate.EvalContext`;
    only the facts the predicate's dependency set names are
-   materialised (``$old`` comes from the engine's per-watchpoint
-   shadow words, seeded at arm time — §2.1 write checks run after the
-   store lands, so the overwritten value cannot be read back);
+   materialised (``$old`` reads the debugger's one old-value shadow,
+   which :meth:`Debugger._on_hit
+   <repro.debugger.debugger.Debugger._on_hit>` refreshes only after the
+   engine and the recorder have seen the hit — §2.1 write checks run
+   after the store lands, so the overwritten value cannot be read
+   back);
 4. **transition edge** — a transition watchpoint compares the new
    truth value against its shadow truth and fires only on the
    requested edge (``rise`` / ``fall`` / ``change``).
@@ -28,9 +31,10 @@ Every decision is counted (``hits`` / ``guarded`` / ``evals`` /
 the watchpoint — recorded on ``watchpoint.disarm_error`` and in the
 debugger log — rather than crashing the session.
 
-The engine's per-watchpoint state (shadow truth, shadow words,
-counters, cached truth, disarm status) is captured by value in every
-:meth:`~repro.debugger.debugger.Debugger.checkpoint`, so replay
+The engine's per-watchpoint state (shadow truth, counters, cached
+truth, disarm status) is captured by value in every
+:meth:`~repro.debugger.debugger.Debugger.checkpoint`, beside the
+debugger's old-value shadow, so replay
 keyframe restores and hibernation thaws rewind it and re-execution
 re-fires transitions deterministically.  For ``reverse_continue`` the
 engine re-evaluates predicates *from the recorded write trace* — each
@@ -121,18 +125,13 @@ class WatchpointEngine:
     def seed(self, watchpoint) -> None:
         """Initialise *watchpoint*'s engine state from current memory.
 
-        Seeds the ``$old`` shadow words over the watched byte range
-        and — for transition watchpoints — the initial truth value, so
-        the first edge is measured against the state at arm time, not
-        against an arbitrary default.  A predicate that faults on
-        current memory raises :class:`~repro.errors.PredicateError`
-        here, at arm time.
+        Resets its counters and seeds — for transition watchpoints —
+        the initial truth value, so the first edge is measured against
+        the state at arm time, not against an arbitrary default.  A
+        predicate that faults on current memory raises
+        :class:`~repro.errors.PredicateError` here, at arm time.
         """
         mem = self.debugger.cpu.mem
-        start = watchpoint.addr & ~3
-        end = (watchpoint.addr + watchpoint.size + 3) & ~3
-        watchpoint.shadow = {word: mem.read_word(word)
-                             for word in range(start, end, 4)}
         watchpoint.stats = WatchStats()
         watchpoint.disarm_error = None
         watchpoint.truth = None
@@ -142,7 +141,7 @@ class WatchpointEngine:
             if predicate.const is not None:
                 watchpoint.truth = bool(predicate.const)
             else:
-                current = to_signed(mem.read_word(start))
+                current = to_signed(mem.read_word(watchpoint.addr & ~3))
                 ctx = EvalContext(value=current, old=current,
                                   addr=watchpoint.addr,
                                   size=watchpoint.size,
@@ -177,7 +176,9 @@ class WatchpointEngine:
     # -- the hit fast path -------------------------------------------------
 
     def on_hit(self, addr: int, size: int, is_read: bool) -> None:
-        """Dispatch one MRS notification through every watchpoint."""
+        """Dispatch one MRS notification through every watchpoint.
+        The debugger's shadow still holds the accessed words' values
+        from before the access (its hook refreshes them after this)."""
         debugger = self.debugger
         for watchpoint in debugger.watchpoints:
             if not watchpoint.enabled:
@@ -197,14 +198,12 @@ class WatchpointEngine:
                                                   size)
                 except PredicateError as exc:
                     self.disarm(watchpoint, exc)
-                    self._update_shadow(watchpoint, addr, size, is_read)
                     continue
                 if fired:
                     stats.fired += 1
                     debugger._fire(watchpoint, addr, size, value)
                 else:
                     stats.suppressed += 1
-            self._update_shadow(watchpoint, addr, size, is_read)
 
     def _evaluate(self, watchpoint, addr: int,
                   size: int) -> Tuple[bool, Optional[int]]:
@@ -258,7 +257,7 @@ class WatchpointEngine:
             ctx.value = current_value()
         if predicate.needs_old:
             word = addr & ~3
-            raw = watchpoint.shadow.get(word)
+            raw = self.debugger.shadow.get(word)
             ctx.old = to_signed(raw if raw is not None
                                 else mem.read_word(word))
         if predicate.needs_memory:
@@ -275,19 +274,6 @@ class WatchpointEngine:
                     not watchpoint.condition(value):
                 return False, value
         return fired, value
-
-    def _update_shadow(self, watchpoint, addr: int, size: int,
-                       is_read: bool) -> None:
-        """Refresh the ``$old`` shadow words a write just changed —
-        even for hits the filters rejected, so the next evaluated hit
-        sees the true previous value."""
-        if is_read:
-            return
-        shadow = watchpoint.shadow
-        mem = self.debugger.cpu.mem
-        for word in range(addr & ~3, (addr + size + 3) & ~3, 4):
-            if word in shadow:
-                shadow[word] = mem.read_word(word)
 
     def disarm(self, watchpoint, exc: PredicateError) -> None:
         """A predicate fault: disable the watchpoint, keep the session."""

@@ -11,8 +11,10 @@ hit-scoped special variables:
     the word at the accessed address *after* the access;
 ``$old``
     the word at the accessed address *before* the access (from the
-    engine's shadow copy — §2.1 write checks run after the store
-    lands, so the overwritten value cannot be read back);
+    debugger's one old-value shadow, ``Debugger.shadow``, which the
+    recorded trace's old values also read — §2.1 write checks run
+    after the store lands, so the overwritten value cannot be read
+    back);
 ``$addr`` / ``$size``
     the accessed address and width in bytes.
 

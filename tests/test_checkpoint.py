@@ -215,10 +215,11 @@ class TestDebuggerReplay:
 
         def facts():
             return [(list(w.hits), w.enabled, w.truth, w.record_truth,
-                     dict(w.shadow), w.stats.as_tuple(), w.cached_truth,
+                     w.stats.as_tuple(), w.cached_truth,
                      None if w.disarm_error is None else
                      (w.disarm_error.args[0], w.disarm_error.reason))
-                    for w in debugger.watchpoints] + [list(debugger.log)]
+                    for w in debugger.watchpoints] + [
+                        dict(debugger.shadow), list(debugger.log)]
 
         assert debugger.run() == "watch"
         assert broken.disarm_error.reason == "div_zero"

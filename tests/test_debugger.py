@@ -3,6 +3,8 @@
 import pytest
 
 from repro.debugger import Debugger, DebuggerError, FaultIsolator
+from repro.errors import ReproError
+from repro.faults import SERVICE_DELETE, FaultPlan
 
 PROGRAM = """
 struct rec { int key; int value; };
@@ -100,6 +102,31 @@ class TestWatch:
         debugger.run()
         assert a.hit_count() == 3
         assert b.hit_count() == 1
+
+    def test_shared_region_lives_until_its_last_watchpoint_goes(self):
+        debugger = make()
+        a = debugger.watch("counter")
+        b = debugger.watch("counter", condition=lambda v: v == 100)
+        assert a.region is b.region
+        assert list(debugger.shadow) == [a.region.start]
+        a.delete()
+        assert list(debugger.mrs.regions) == [b.region]
+        assert list(debugger.shadow) == [b.region.start]
+        b.delete()
+        assert list(debugger.mrs.regions) == []
+        assert debugger.shadow == {}
+
+    def test_unwatch_whose_region_delete_faults_stays_armed(self):
+        debugger = Debugger.for_source(
+            PROGRAM, faults=FaultPlan.nth(SERVICE_DELETE))
+        watchpoint = debugger.watch("counter")
+        with pytest.raises(ReproError):
+            watchpoint.delete()
+        assert debugger.watchpoints == [watchpoint]
+        assert list(debugger.mrs.regions) == [watchpoint.region]
+        watchpoint.delete()  # only the first delete faults
+        assert debugger.watchpoints == []
+        assert list(debugger.mrs.regions) == []
 
     def test_index_out_of_range(self):
         debugger = make()

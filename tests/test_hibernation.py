@@ -192,11 +192,11 @@ class TestHibernationStore:
         """A file in a previous layout, intact down to its sha256
         trailer, is refused rather than misread."""
         store = HibernationStore(hdir)
-        for old_version in (1, 2):
+        for old_version in (1, 2, 3):
             monkeypatch.setattr(hibernate, "FORMAT_VERSION", old_version)
             store.save(sample_frozen())
             monkeypatch.undo()
-            assert FORMAT_VERSION == 3
+            assert FORMAT_VERSION == 4
             with pytest.raises(HibernationError) as excinfo:
                 store.load("s1")
             assert excinfo.value.reason == "format"
@@ -470,7 +470,8 @@ class TestPredicateWatchpointHibernation:
             assert client.hibernate(session_id)["hibernated"] is True
 
             # the frozen file carries the engine state verbatim, in
-            # the debugger snapshot's per-watchpoint state
+            # the debugger snapshot's state: per watchpoint, plus the
+            # one old-value shadow
             frozen = HibernationStore(hdir).load(session_id)
             spec = frozen.breakpoints[0]
             assert spec["condition"] == self.CONDITION
@@ -479,7 +480,8 @@ class TestPredicateWatchpointHibernation:
             engine = frozen.debugger_state["watchpoints"][0]
             assert engine["enabled"] is True
             assert engine["truth"] is True
-            assert 4 in [value for _word, value in engine["shadow"]]
+            assert 4 in [value for _word, value
+                         in frozen.debugger_state["shadow"]]
             assert engine["disarm"] is None
             assert engine["stats"][0] > 0  # hits observed pre-freeze
 
@@ -531,7 +533,7 @@ class TestThawMatchesDebuggerSnapshot:
             assert client.hibernate(session_id)["hibernated"] is True
             assert client.resume(session_id)["thawed"] is True
         assert run_to_exit(client, session_id)["exitCode"] == 0
-        watchpoint = server.manager.get(session_id).breakpoints[data_id]
+        (watchpoint,) = server.manager.get(session_id).debugger.watchpoints
         return ((watchpoint.invariant, watchpoint.stats.as_tuple(),
                  list(watchpoint.hits)),
                 [(hit["address"], hit["value"])

@@ -237,9 +237,14 @@ class TestLastWrite:
     def test_scan_agrees_with_brute_force_trace(self):
         """The re-execution scan must agree with a recording where the
         region was monitored (= brute-force forward scan) all along."""
-        scanned, _r, _w = record_run(watches=("total",))
-        brute, _r2, _w2 = record_run(watches=("total", "grid[4]"))
-        for expression in ("grid[4]",):
+        for watched, expression in (
+                ("total", "grid[4]"),
+                # arming total in the scan activates Kessler patches
+                # whose checks call the MRS library, so the scan runs
+                # more `lib` instructions than the recording did
+                ("grid[4]", "total")):
+            scanned, _r, _w = record_run(watches=(watched,))
+            brute, _r2, _w2 = record_run(watches=(watched, expression))
             from_scan = scanned.last_write(expression)
             from_trace = brute.last_write(expression)
             assert from_scan.source == "scan"
@@ -274,6 +279,39 @@ class TestLastWrite:
         # grid[7] is monitored for the whole run and never written
         # (the loop stops at i == 5)
         assert debugger.last_write("grid[7]") is None
+
+
+class TestOneOldValueShadow:
+    """``$old`` and the trace's old values read the debugger's one
+    shadow, so both agree even after a region is unwatched and
+    watched again."""
+
+    def test_rewatch_old_value_is_the_value_at_re_arm(self):
+        debugger = make_debugger()
+        recorder = debugger.record(stride=50)
+        watchpoint = debugger.watch("total", action="stop")
+        for _ in range(2):
+            assert debugger.run() == "watch"
+        assert value_of(debugger, "total") == 1
+        debugger.unwatch(watchpoint)
+        assert debugger.shadow == {}
+        # 1 -> 3 -> 6 with nothing watching total
+        while value_of(debugger, "total") != 6:
+            assert debugger.step() == "step"
+        debugger.watch("total", expr="$value - $old == 4", action="stop")
+        assert debugger.run() == "watch"
+        assert value_of(debugger, "total") == 10
+        stopped = debugger.cpu.instructions
+        last = list(recorder.trace)[-1]
+        assert last.stop_index == stopped
+        assert (last.old, last.new) == (6, 10)
+        reason = debugger.run()
+        while reason != "exited":
+            reason = debugger.run()
+        # the trace re-evaluates the predicate from the same old value
+        # the live run saw, so reverse_continue stops where it did
+        assert debugger.reverse_continue() == "watch"
+        assert debugger.cpu.instructions == stopped
 
 
 class TestDeterminism:
@@ -431,6 +469,25 @@ class TestRecorderBounds:
         assert debugger.reverse_step(debugger.cpu.instructions - 1) \
             == "step"
         assert debugger.cpu.instructions == 1
+
+    def test_thinning_keeps_the_keyframe_a_watch_captured(self):
+        """Replay never re-executes across a monitor-set change, so the
+        keyframe a change captured survives thinning, and it does not
+        count against the ring's bound."""
+        debugger = make_debugger()
+        recorder = debugger.record(stride=10, max_keyframes=4)
+        assert debugger.step(95) == "step"
+        debugger.watch("total")
+        reason = debugger.run()
+        while reason != "exited":
+            reason = debugger.run()
+        indexes = [keyframe.index for keyframe in recorder.keyframes]
+        assert recorder.monitor_changes == [95]
+        assert 95 in indexes
+        assert len([index for index in indexes if index != 95]) <= 4
+        assert debugger.reverse_step(debugger.cpu.instructions - 100) \
+            == "step"
+        assert debugger.cpu.instructions == 100
 
     def test_trace_ring_eviction_disables_only_dropped_prefix(self):
         debugger, recorder, _w = record_run(max_trace=3)

@@ -485,6 +485,79 @@ class TestForwardLoopOverSocket:
             assert client.evaluate(session_id, "total")["value"] == 190
 
 
+#: SOURCE plus a second global written on every iteration
+TWO_GLOBALS = """
+int total;
+int other;
+int main() {
+    register int i;
+    total = 0;
+    for (i = 0; i < 20; i = i + 1) {
+        total = total + i;
+        other = i;
+    }
+    print(total);
+    return 0;
+}
+"""
+
+
+class TestBreakpointSetIsTheWatchpointList:
+    """The server reads every dataId off ``debugger.watchpoints``, so
+    the breakpoint set travels back in time with the debugger and a
+    replace-all clears everything the debugger watches."""
+
+    def test_step_back_past_a_replacement_rearms_its_data_id(self,
+                                                             server):
+        with client_for(server) as client:
+            client.initialize()
+            session_id = client.launch(TWO_GLOBALS,
+                                       record={"stride": 50})
+            total, other = [
+                client.data_breakpoint_info(session_id, name)["dataId"]
+                for name in ("total", "other")]
+            assert total == "w:total@"
+            client.set_data_breakpoints(
+                session_id, [{"dataId": total, "stop": True}])
+            stop = client.cont(session_id)
+            assert stop["hitBreakpointIds"] == [total]
+            replaced = stop["instructions"]
+            client.set_data_breakpoints(
+                session_id, [{"dataId": other, "stop": True}])
+            stop = client.cont(session_id)
+            assert stop["hitBreakpointIds"] == [other]
+            # back to before the replacement: total is watched again
+            stop = client.step_back(
+                session_id, count=stop["instructions"] - replaced + 1)
+            assert stop["instructions"] == replaced - 1
+            stop = client.cont(session_id)
+            assert stop["reason"] == "watch"
+            assert stop["hitBreakpointIds"] == [total]
+            assert client.resume(session_id)["breakpoints"] == [total]
+            client.set_data_breakpoints(session_id, [])
+            (inventory,) = client.sessions()
+            assert inventory["breakpoints"] == 0
+            stop = client.cont(session_id)
+            assert stop["exited"] is True
+            assert stop["exitCode"] == 0
+
+    def test_duplicate_data_ids_are_all_cleared(self, server):
+        with client_for(server) as client:
+            client.initialize()
+            session_id = client.launch(SOURCE)
+            data_id = client.data_breakpoint_info(session_id,
+                                                  "total")["dataId"]
+            results = client.set_data_breakpoints(session_id, [
+                {"dataId": data_id, "stop": True},
+                {"dataId": data_id, "stop": True, "condition": ">= 100"}])
+            assert [result["verified"] for result in results] == \
+                [True, True]
+            client.set_data_breakpoints(session_id, [])
+            stop = client.cont(session_id)
+            assert stop["exited"] is True
+            assert stop["exitCode"] == 0
+
+
 class TestReRunnableSession:
     """Satellite: DebugSession.run() must not double-count on re-run."""
 

@@ -192,9 +192,7 @@ class TestConditionsAndFaultSpecs:
 
     def test_fault_plan_from_spec(self):
         plan = fault_plan_from_spec({
-            "schedule": {SERVICE_CREATE: [0]},
-            "maxInstructions": 5000})
-        assert plan.max_instructions == 5000
+            "schedule": {SERVICE_CREATE: [0]}})
         with pytest.raises(ReproError):
             plan.trip(SERVICE_CREATE)
         plan.trip(SERVICE_CREATE)  # occurrence 1 does not fire
