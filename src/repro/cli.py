@@ -308,7 +308,7 @@ def _command_run(args) -> int:
                 else watchpoint.kind)
         print("-- %s %-16s %d hit(s)%s"
               % (kind, label, watchpoint.hit_count(), detail))
-        for addr, size, value in watchpoint.hits:
+        for addr, size, value, _index in watchpoint.hits:
             print("     wrote 0x%08x (%d bytes): %d" % (addr, size,
                                                         value))
     if args.stats:

@@ -80,7 +80,10 @@ class Watchpoint:
         #: may be shared; the engine's byte-range guard uses these)
         self.addr = addr
         self.size = size
-        self.hits: List[Tuple[int, int, int]] = []  # (addr, size, value)
+        #: one (addr, size, value, index) per firing, in order; *index*
+        #: is the instruction index of the notification trap, so
+        #: ``index + 1`` is where a stop on this firing lands
+        self.hits: List[Tuple[int, int, int, int]] = []
         self.enabled = True
         #: pruner verdict (repro.analysis.prune): True when no write
         #: site can change the predicate's truth, so the engine may
@@ -88,7 +91,6 @@ class Watchpoint:
         self.invariant = False
         # engine state (per-watchpoint; checkpointed by value)
         self.truth: Optional[bool] = None
-        self.record_truth: Optional[bool] = None
         self.cached_truth: Optional[bool] = None
         self.stats = WatchStats()
         self.disarm_error = None
@@ -161,10 +163,6 @@ class Debugger:
         self.mrs.add_callback(self._on_hit)
         self.cpu.trap_handlers[TRAP_BREAKPOINT] = self._on_breakpoint
         self.mrs.enable()
-        # a session-level entry rewind restores the machine and MRS but
-        # not debugger-side statistics; reset them so repeated runs
-        # report clean numbers
-        session.add_rewind_hook(self._on_session_rewind)
 
     # -- construction ------------------------------------------------------
 
@@ -365,7 +363,8 @@ class Debugger:
     def _fire(self, watchpoint: Watchpoint, addr: int, size: int,
               value: int) -> None:
         """Dispatch one firing hit's action (the engine decided it)."""
-        watchpoint.hits.append((addr, size, value))
+        watchpoint.hits.append((addr, size, value,
+                                self.cpu.instructions))
         if watchpoint.action == "print":
             self.log.append("%s = %d" % (watchpoint.name, value))
         elif watchpoint.action == "stop":
@@ -477,7 +476,6 @@ class Debugger:
                 "hits": list(w.hits),
                 "enabled": w.enabled,
                 "truth": w.truth,
-                "recordTruth": w.record_truth,
                 "stats": w.stats.as_tuple(),
                 "cachedTruth": w.cached_truth,
                 "disarm": None if w.disarm_error is None else
@@ -521,7 +519,6 @@ class Debugger:
             # exactly as the recording did
             watchpoint.enabled = saved["enabled"]
             watchpoint.truth = saved["truth"]
-            watchpoint.record_truth = saved["recordTruth"]
             watchpoint.stats = WatchStats.from_tuple(saved["stats"])
             watchpoint.cached_truth = saved["cachedTruth"]
             disarm = saved["disarm"]
@@ -532,22 +529,6 @@ class Debugger:
         self._started = state["started"]
         self.stop_reason = None
         self.stopped_watch = None
-
-    def _on_session_rewind(self) -> None:
-        """Reset the statistics a session entry rewind cannot see."""
-        for watchpoint in self.watchpoints:
-            watchpoint.hits = []
-        # memory is back at entry state: re-seed old values and
-        # transition truth from it (and reset the engine counters)
-        mem = self.cpu.mem
-        self.shadow = {word: mem.read_word(word) for word in self.shadow}
-        self.engine.reseed_all()
-        for breakpoint in self.breakpoints.values():
-            breakpoint.hits = 0
-        self.log = []
-        self.stop_reason = None
-        self.stopped_watch = None
-        self.stop_record()
 
     # -- record / time travel (§5, the replay workload) ---------------------------
 
@@ -575,9 +556,6 @@ class Debugger:
             max_trace=max_trace if max_trace is not None
             else DEFAULT_MAX_TRACE)
         recorder.start()
-        # pin every transition watchpoint's truth as the baseline the
-        # trace re-evaluation (reverse_continue) simulates forward from
-        self.engine.mark_record_start()
         self._recorder = recorder
         self._replay = ReplayController(self, recorder)
         return recorder
@@ -620,8 +598,9 @@ class Debugger:
         return self._replay
 
     def reverse_continue(self) -> str:
-        """Run backwards to the most recent write to a watched region;
-        returns "watch" or "replay-start"."""
+        """Run backwards to where the newest earlier firing of an armed
+        watchpoint stopped the live run; returns "watch" or
+        "replay-start"."""
         return self._require_replay().reverse_continue()
 
     def reverse_step(self, count: int = 1) -> str:
@@ -679,7 +658,11 @@ class Debugger:
                 self._started = True
                 cpu.pc = self.session.loaded.entry
                 cpu.npc = cpu.pc + 4
-                self.session.mark_started()
+                if not self.session.started:
+                    # a fresh DebugSession.run() rewinds the whole
+                    # debugger, watch state included, to this snapshot
+                    entry = self.checkpoint()
+                    self.session.mark_started(lambda: self.restore(entry))
             # run_steps() is bit-exact with *count* single steps:
             # monitor checks, breakpoints and watch traps all live in
             # trap/patch instructions, which never compile into

@@ -17,7 +17,7 @@ so data breakpoints can be explored by hand:
     (pdb93) checkpoint             # snapshot for replay
     (pdb93) restore                # rewind to the snapshot
     (pdb93) record                 # start time-travel recording
-    (pdb93) rc                     # reverse-continue to the last write
+    (pdb93) rc                     # reverse-continue to the last firing
     (pdb93) rs 10                  # step 10 instructions backwards
     (pdb93) lastwrite balance      # who wrote this last?
     (pdb93) quit

@@ -10,6 +10,11 @@ crossing checks a state digest — a drifted replay raises
 :class:`~repro.errors.DivergenceError` instead of stopping at a wrong
 point in time.
 
+``reverse_continue`` decides nothing itself: it travels back to the
+newest firing in the watchpoints' own firing logs (``Watchpoint.hits``,
+one entry per firing with its instruction index, rewound with every
+keyframe restore), so it stops exactly where the live engine fired.
+
 ``last_write_to`` has two paths:
 
 * **trace query** — when the asked-about region has been continuously
@@ -126,25 +131,34 @@ class ReplayController:
         return self.debugger.stop_reason
 
     def reverse_continue(self) -> str:
-        """Run backwards to the most recent recorded access that
-        *fires* any currently armed watchpoint — conditional
-        predicates re-evaluated from the trace's old/new words,
-        transition edges simulated deterministically from the
-        recording baseline — and returns "watch" (stopped at that
-        firing) or "replay-start" (no earlier firing in the
-        recording)."""
+        """Run backwards to where the newest earlier firing of an
+        armed, enabled watchpoint stopped the live run, read off the
+        watchpoints' firing logs, and return "watch"; with no such
+        firing since the recording's start, travel there and return
+        "replay-start".  A later watchpoint in list order wins a tie."""
         debugger = self.debugger
-        recorder = self.recorder
+        start = self.recorder.start_index
         now = self.cpu.instructions
-        firing = debugger.engine.latest_trace_firing(
-            recorder.trace, now, trace_dropped=recorder.trace.dropped)
-        if firing is None:
-            self.travel_to(recorder.start_index)
+        best = None
+        for order, watchpoint in enumerate(debugger.watchpoints):
+            if not watchpoint.enabled:
+                continue
+            # the log holds this timeline's firings in index order, so
+            # the newest one stopping before now is at its end
+            for _addr, _size, _value, index in reversed(watchpoint.hits):
+                if index < start:
+                    break
+                if index + 1 < now:
+                    if best is None or (index, order) > best[0]:
+                        best = ((index, order), watchpoint)
+                    break
+        if best is None:
+            self.travel_to(start)
             debugger.stop_reason = "replay-start"
             debugger.stopped_watch = None
             return "replay-start"
-        record, watchpoint = firing
-        self.travel_to(record.stop_index)
+        (index, _order), watchpoint = best
+        self.travel_to(index + 1)
         debugger.stop_reason = "watch"
         debugger.stopped_watch = watchpoint
         return "watch"

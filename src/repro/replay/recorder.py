@@ -23,8 +23,10 @@ Keyframe ring eviction keeps geometric coverage: when the ring fills,
 the first and newest keyframes are kept, every other interior one is
 dropped, and the effective stride doubles — old history gets sparser
 instead of disappearing.  Keyframes captured at a monitor-set change
-are never thinned, and do not count against the ring's bound: replay
-must not re-execute across a change.
+are never thinned, and do not count against that bound: replay must
+not re-execute across a change.  At most ``max_keyframes`` of them are
+kept; past that the recording forgets its oldest history, and its
+start moves up to the oldest change keyframe it keeps.
 
 Fault injection: each keyframe capture passes through the
 ``replay.keyframe`` injection point *before* the keyframe is
@@ -218,7 +220,8 @@ class Recorder:
         now = self.cpu.instructions
         if now < self.end_index or self.mode == "replay":
             self.truncate_future(now)
-        self.monitor_changes.append(now)
+        if not self.monitor_changes or self.monitor_changes[-1] != now:
+            self.monitor_changes.append(now)
         current = {region.key() for region in self.debugger.mrs.regions}
         for key in list(self.coverage):
             if key not in current:
@@ -272,6 +275,15 @@ class Recorder:
             return None
         self.keyframes.append(keyframe)
         changes = set(self.monitor_changes)
+        kept = [frame.index for frame in self.keyframes
+                if frame.index in changes]
+        if len(kept) > self.max_keyframes:
+            # change keyframes never thin: forget the oldest history
+            start = self.start_index = kept[-self.max_keyframes]
+            self.keyframes = [frame for frame in self.keyframes
+                              if frame.index >= start]
+            self.monitor_changes = [index for index in self.monitor_changes
+                                    if index >= start]
         thinnable = [frame for frame in self.keyframes
                      if frame.index not in changes]
         if len(thinnable) > self.max_keyframes:

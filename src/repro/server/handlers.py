@@ -501,7 +501,7 @@ class RequestRouter:
 
     def _reverse_continue(self, arguments: Dict[str, Any], emit
                           ) -> Dict[str, Any]:
-        """Run backwards to the most recent write to a watched region."""
+        """Run backwards to the newest firing of an armed watchpoint."""
         session_id = _require_arg(arguments, "sessionId")
         return self._execute(
             session_id,

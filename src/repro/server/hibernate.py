@@ -30,9 +30,10 @@ which the payload names by sha-256.
 The JSON header carries everything needed to rebuild the session
 *around* the checkpoint: program identity (source, language, strategy,
 optimization mode), one wire-level breakpoint spec per watchpoint (so
-conditions are recompiled, not serialised), the plain-data ``state`` of
-:meth:`~repro.debugger.debugger.Debugger.checkpoint` verbatim (hit
-lists and engine state per watchpoint, the debugger's one old-value
+conditions are recompiled, not serialised; a session with a watchpoint
+no spec describes is refused), the plain-data ``state`` of
+:meth:`~repro.debugger.debugger.Debugger.checkpoint` verbatim (firing
+logs and engine state per watchpoint, the debugger's one old-value
 shadow, log, started flag), server bookkeeping (output, stop reason),
 replay-recorder metadata, and the
 :func:`~repro.replay.recorder.state_digest` of the CPU at freeze time
@@ -71,7 +72,7 @@ __all__ = ["FORMAT_VERSION", "FrozenSession", "HibernationStore",
            "freeze_managed", "rebuild_managed"]
 
 MAGIC = b"RPRHIB1\n"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 #: refuse to parse headers larger than this (a torn length field must
 #: not make us allocate gigabytes)
 MAX_HEADER_BYTES = 1 << 24
@@ -378,8 +379,10 @@ def freeze_managed(managed) -> FrozenSession:
     The caller must hold the session lock.  Raises
     :class:`HibernationError` (reason ``"unsupported"``) for sessions
     that cannot be rebuilt deterministically — ones launched without a
-    recorded program spec, or with a live fault plan whose occurrence
-    counters cannot be carried across the boundary.
+    recorded program spec, with a live fault plan whose occurrence
+    counters cannot be carried across the boundary, or with a
+    watchpoint the wire-level spec cannot describe (a callable
+    condition or callback, or a print/call action).
     """
     from repro.machine.state import encode_state
     from repro.replay.recorder import state_digest
@@ -396,6 +399,17 @@ def freeze_managed(managed) -> FrozenSession:
             "session %s runs under a fault plan; mid-flight occurrence "
             "counters cannot hibernate" % managed.id,
             reason="unsupported", session=managed.id)
+    for watchpoint in debugger.watchpoints:
+        if watchpoint.condition is not None or \
+                watchpoint.callback is not None or \
+                watchpoint.action not in ("stop", "log"):
+            # nothing callable is serialised: it would thaw as another
+            # watchpoint
+            raise HibernationError(
+                "session %s watches %s with a callable condition, a "
+                "callback or a %r action; cannot rebuild it"
+                % (managed.id, watchpoint.name, watchpoint.action),
+                reason="unsupported", session=managed.id)
 
     checkpoint, (watchpoints, _breakpoints), state = debugger.checkpoint()
     # each watchpoint as the setDataBreakpoints spec that re-creates

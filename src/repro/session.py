@@ -4,12 +4,16 @@
 a write-check strategy (and optionally a §4 optimization plan), assemble,
 load, and attach a :class:`~repro.core.service.MonitoredRegionService`.
 This is the main entry point for examples, tests and the evaluation
-harness.
+harness.  A session is re-runnable: a fresh :meth:`DebugSession.run`
+rewinds to the entry state, which a
+:class:`~repro.debugger.debugger.Debugger` driving the session
+captures as its own snapshot, so the rewind restores its watch state
+with the machine.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.asm.assembler import assemble
 from repro.asm.loader import LoadedProgram, load_program
@@ -33,27 +37,28 @@ class DebugSession:
         self.mrs = mrs
         self.cpu = loaded.cpu
         self.program = loaded.program
-        #: True once run() has been called at least once
+        #: True once the debuggee has been started
         self.started = False
-        self._entry_state = None
-        #: callables invoked after an entry-checkpoint rewind, so
-        #: host-side observers (debugger hit lists, recorders) can reset
-        #: statistics the machine checkpoint cannot see
-        self._rewind_hooks: List = []
+        #: puts the debuggee back to its entry state for a fresh run()
+        self._rewind: Optional[Callable[[], None]] = None
 
-    def add_rewind_hook(self, hook) -> None:
-        """Register *hook* to run after every entry-checkpoint rewind."""
-        self._rewind_hooks.append(hook)
+    def mark_started(self,
+                     rewind: Optional[Callable[[], None]] = None) -> None:
+        """Fix how a later fresh :meth:`run` rewinds to the entry
+        state, at the first start: *rewind* when a host passes one (the
+        debugger, which drives the CPU directly instead of through
+        :meth:`run`, restores the snapshot it took there), else a
+        machine+MRS checkpoint taken now."""
+        if self._rewind is None:
+            if rewind is None:
+                from repro.machine.checkpoint import Checkpoint
+                entry = Checkpoint(self.cpu, output=self.loaded.output,
+                                   mrs=self.mrs)
 
-    def mark_started(self) -> None:
-        """Record the entry state so a later fresh :meth:`run` can
-        rewind — also used by hosts (the debugger) that drive the CPU
-        directly instead of through :meth:`run`."""
-        if self._entry_state is None:
-            from repro.machine.checkpoint import Checkpoint
-            self._entry_state = Checkpoint(self.cpu,
-                                           output=self.loaded.output,
-                                           mrs=self.mrs)
+                def rewind() -> None:
+                    entry.restore(self.cpu, output=self.loaded.output,
+                                  mrs=self.mrs)
+            self._rewind = rewind
         self.started = True
 
     @classmethod
@@ -89,10 +94,11 @@ class DebugSession:
             watchdog=None, resume: bool = False) -> int:
         """Run (or resume) the debuggee; safely re-runnable.
 
-        A fresh ``run()`` after a previous one — e.g. a server client
-        relaunching after a :class:`~repro.machine.cpu.SimulationLimit`
-        — rewinds the debuggee to the state it had when first started
-        (memory image, registers, counters, output, monitor state), so
+        A fresh ``run()`` after a previous one — e.g. a rerun after a
+        :class:`~repro.machine.cpu.SimulationLimit` — rewinds the
+        debuggee to the state it had when first started (memory image,
+        registers, counters, output, monitor state; under a debugger,
+        its watchpoints, breakpoints and their logs too), so
         instruction/cycle counters are not double-counted and stale trap
         state cannot leak into the new run.  A watchdog passed here is
         re-armed by the CPU relative to the (restored) counters, so each
@@ -102,16 +108,11 @@ class DebugSession:
         if resume and not self.started:
             resume = False
         if not resume:
-            if self._entry_state is not None and self.started:
-                self._entry_state.restore(self.cpu,
-                                          output=self.loaded.output,
-                                          mrs=self.mrs)
+            if self._rewind is not None:
+                self._rewind()
                 self.cpu.running = False
                 self.cpu.exit_code = None
-                for hook in self._rewind_hooks:
-                    hook()
             self.mark_started()
-        self.started = True
         return self.loaded.run(max_instructions=max_instructions,
                                watchdog=watchdog, resume=resume)
 

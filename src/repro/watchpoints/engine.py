@@ -34,21 +34,17 @@ debugger log — rather than crashing the session.
 The engine's per-watchpoint state (shadow truth, counters, cached
 truth, disarm status) is captured by value in every
 :meth:`~repro.debugger.debugger.Debugger.checkpoint`, beside the
-debugger's old-value shadow, so replay
+debugger's old-value shadow and each watchpoint's hit log, so replay
 keyframe restores and hibernation thaws rewind it and re-execution
-re-fires transitions deterministically.  For ``reverse_continue`` the
-engine re-evaluates predicates *from the recorded write trace* — each
-:class:`~repro.replay.trace.WriteRecord` carries the old and new word
-— simulating transition truth forward from the truth value captured
-when recording started.  Predicates that dereference arbitrary memory
-(their historical heap state is gone) and transitions whose baseline
-was lost to trace-ring eviction fall back to the conservative legacy
-answer: any matching access to the watched bytes counts as a firing.
+re-fires transitions deterministically.  Firings are decided once,
+live: the debugger logs each one with its instruction index in
+``Watchpoint.hits``, and ``reverse_continue`` travels back to the
+newest logged firing instead of deciding firings again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import PredicateError
 from repro.isa.instructions import to_signed
@@ -147,7 +143,6 @@ class WatchpointEngine:
                                   size=watchpoint.size,
                                   read_word=memory_reader(mem))
                 watchpoint.truth = predicate.truth(ctx)
-        watchpoint.record_truth = watchpoint.truth
         if predicate is not None and predicate.const is None and \
                 getattr(watchpoint, "invariant", False):
             # the pruner proved no write site can alias the predicate's
@@ -158,20 +153,6 @@ class WatchpointEngine:
                               size=watchpoint.size,
                               read_word=memory_reader(mem))
             watchpoint.cached_truth = predicate.truth(ctx)
-
-    def reseed_all(self) -> None:
-        """Re-initialise every watchpoint (after a session rewind the
-        debuggee memory is back at entry state).  A predicate that now
-        faults disarms its watchpoint instead of propagating."""
-        for watchpoint in self.debugger.watchpoints:
-            if watchpoint.disarm_error is not None:
-                # a fresh run gets a fresh chance; a still-broken
-                # predicate will disarm again at its first fault
-                watchpoint.enabled = True
-            try:
-                self.seed(watchpoint)
-            except PredicateError as exc:
-                self.disarm(watchpoint, exc)
 
     # -- the hit fast path -------------------------------------------------
 
@@ -282,90 +263,3 @@ class WatchpointEngine:
         watchpoint.stats.errors += 1
         self.debugger.log.append(
             "watchpoint %s disarmed: %s" % (watchpoint.name, exc))
-
-    # -- recording ---------------------------------------------------------
-
-    def mark_record_start(self) -> None:
-        """Recording begins: pin every watchpoint's transition truth as
-        the baseline trace re-evaluation simulates forward from."""
-        for watchpoint in self.debugger.watchpoints:
-            watchpoint.record_truth = watchpoint.truth
-
-    # -- trace re-evaluation (reverse_continue) ----------------------------
-
-    def latest_trace_firing(self, records: Iterable, now: int,
-                            trace_dropped: int = 0):
-        """The most recent recorded access before instruction *now*
-        that fires any armed watchpoint under its predicate/transition
-        semantics; returns ``(record, watchpoint)`` or None.
-
-        Later watchpoints win ties on the same record, matching the
-        pre-predicate ``reverse_continue`` precedence.
-        """
-        records = list(records)
-        best = None
-        for order, watchpoint in enumerate(self.debugger.watchpoints):
-            if not watchpoint.enabled:
-                continue
-            for record, fired in self._trace_decisions(
-                    watchpoint, records, trace_dropped):
-                if not fired or record.stop_index >= now:
-                    continue
-                key = (record.stop_index, order)
-                if best is None or key > best[0]:
-                    best = (key, record, watchpoint)
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    def _trace_decisions(self, watchpoint, records,
-                         trace_dropped: int):
-        """Yield ``(record, fired)`` over *records* in forward order,
-        re-evaluating the predicate from each record's old/new words
-        and simulating transition truth from the recording baseline."""
-        predicate: Optional[Predicate] = watchpoint.predicate
-        conservative = (
-            predicate is None
-            # historical memory is gone; the trace only has the word
-            or predicate.needs_memory
-            # the edge baseline was lost (armed before this recording,
-            # or the trace ring evicted the records leading up to it)
-            or (watchpoint.when is not None
-                and (trace_dropped or watchpoint.record_truth is None)))
-        truth = watchpoint.record_truth
-        for record in records:
-            if not self._trace_access(watchpoint.access, record.is_read):
-                continue
-            if not (record.addr < watchpoint.addr + watchpoint.size
-                    and watchpoint.addr < record.addr + record.size):
-                continue
-            if conservative:
-                yield record, True
-                continue
-            ctx = EvalContext(value=to_signed(record.new),
-                              old=to_signed(record.old),
-                              addr=record.addr, size=record.size)
-            try:
-                current = predicate.truth(ctx)
-            except PredicateError:
-                # the live engine disarmed here: stop at the fault
-                yield record, True
-                continue
-            if watchpoint.when is None:
-                yield record, current
-            else:
-                yield record, edge_fires(watchpoint.when, truth,
-                                         current)
-                truth = current
-
-    @staticmethod
-    def _trace_access(access: Optional[str], is_read: bool) -> bool:
-        """Which trace records can stop ``reverse_continue`` for this
-        access filter.  ``None`` means writes only — the documented
-        pre-predicate contract ("the most recent *write*") — while an
-        explicit ``read``/``readWrite`` filter opts into read stops."""
-        if access == "read":
-            return is_read
-        if access == "readWrite":
-            return True
-        return not is_read

@@ -214,7 +214,7 @@ class TestDebuggerReplay:
         broken = debugger.watch("grid[7]", expr="100 / ($value - 7) > 0")
 
         def facts():
-            return [(list(w.hits), w.enabled, w.truth, w.record_truth,
+            return [(list(w.hits), w.enabled, w.truth,
                      w.stats.as_tuple(), w.cached_truth,
                      None if w.disarm_error is None else
                      (w.disarm_error.args[0], w.disarm_error.reason))

@@ -48,6 +48,11 @@ int main() {
 }
 """
 
+#: SOURCE's program spec, as ``launch`` records it
+PROGRAM = {"source": SOURCE, "lang": "C",
+           "strategy": "BitmapInlineRegisters", "optimize": "full",
+           "monitorReads": False}
+
 
 @pytest.fixture
 def hdir(tmp_path):
@@ -192,11 +197,11 @@ class TestHibernationStore:
         """A file in a previous layout, intact down to its sha256
         trailer, is refused rather than misread."""
         store = HibernationStore(hdir)
-        for old_version in (1, 2, 3):
+        for old_version in (1, 2, 3, 4):
             monkeypatch.setattr(hibernate, "FORMAT_VERSION", old_version)
             store.save(sample_frozen())
             monkeypatch.undo()
-            assert FORMAT_VERSION == 4
+            assert FORMAT_VERSION == 5
             with pytest.raises(HibernationError) as excinfo:
                 store.load("s1")
             assert excinfo.value.reason == "format"
@@ -310,6 +315,47 @@ class TestHibernateThawLifecycle:
             assert body["hibernated"] is False
             # still live and usable
             assert client.evaluate(session_id, "total")["value"] == 0
+
+    def test_callable_condition_session_is_destroyed_not_frozen(self,
+                                                                 hdir):
+        """A callable condition has no wire-level spec, so a thaw would
+        rebuild an unconditional watch that stops at the next write.
+        The session refuses to hibernate, runs on as if never touched,
+        and the idle sweep destroys it instead."""
+        manager = SessionManager(max_sessions=2,
+                                 store=HibernationStore(hdir))
+
+        def factory():
+            debugger = build_debugger(PROGRAM)
+            debugger.watch("total", action="stop",
+                           condition=lambda value: value == 6)
+            return debugger
+
+        managed = manager.create(factory)
+        managed.program_spec = dict(PROGRAM)
+        debugger = managed.debugger
+        assert debugger.run() == "watch"
+        assert debugger.evaluate("total")[2] == 6
+        assert manager.hibernate(managed.id) is False
+        assert manager.get(managed.id) is managed
+        assert debugger.run() == "exited"
+        assert debugger.evaluate("total")[2] == 190
+        assert manager.evict_idle(timeout=0.0) == [managed.id]
+        assert manager.session_ids() == [] == manager.frozen_ids()
+
+    @pytest.mark.parametrize("options", [
+        {"action": "call", "callback": lambda *hit: None},
+        {"action": "log", "callback": lambda *hit: None},
+        {"action": "print"},
+    ], ids=["call", "callback", "print"])
+    def test_unrebuildable_watch_refuses_to_freeze(self, options):
+        manager = SessionManager(max_sessions=1)
+        managed = manager.create(lambda: build_debugger(PROGRAM))
+        managed.program_spec = dict(PROGRAM)
+        managed.debugger.watch("total", **options)
+        with pytest.raises(HibernationError) as excinfo:
+            hibernate.freeze_managed(managed)
+        assert excinfo.value.reason == "unsupported"
 
     def test_resume_of_torn_file_fails_structurally(self, server, hdir):
         with client_for(server) as client:

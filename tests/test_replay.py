@@ -308,8 +308,7 @@ class TestOneOldValueShadow:
         reason = debugger.run()
         while reason != "exited":
             reason = debugger.run()
-        # the trace re-evaluates the predicate from the same old value
-        # the live run saw, so reverse_continue stops where it did
+        # reverse_continue stops where the live firing stopped the run
         assert debugger.reverse_continue() == "watch"
         assert debugger.cpu.instructions == stopped
 
@@ -489,6 +488,34 @@ class TestRecorderBounds:
             == "step"
         assert debugger.cpu.instructions == 100
 
+    def test_change_keyframes_are_bounded(self):
+        """Change keyframes never thin, but at most ``max_keyframes`` of
+        them are kept: past that the recording forgets its oldest
+        history and starts at the oldest change keyframe it keeps."""
+        debugger = make_debugger()
+        recorder = debugger.record(stride=10, max_keyframes=4)
+        for _ in range(40):
+            debugger.step(5)
+            watchpoint = debugger.watch("grid[1]")
+            debugger.step(5)
+            debugger.unwatch(watchpoint)
+        changes = [keyframe for keyframe in recorder.keyframes
+                   if keyframe.index in recorder.monitor_changes]
+        assert len(changes) <= 4
+        assert len(recorder.keyframes) <= 8
+        start = recorder.start_index
+        assert start > 0
+        assert recorder.keyframes[0] is changes[0]
+        assert changes[0].index == start
+        assert recorder.monitor_changes == [keyframe.index
+                                            for keyframe in changes]
+        assert debugger.reverse_step(10 ** 9) == "replay-start"
+        assert debugger.cpu.instructions == start
+        reason = debugger.run()
+        while reason != "exited":
+            reason = debugger.run()
+        assert "".join(debugger.output).strip() == "15"
+
     def test_trace_ring_eviction_disables_only_dropped_prefix(self):
         debugger, recorder, _w = record_run(max_trace=3)
         assert recorder.trace.dropped == len(TOTALS) - 3
@@ -522,6 +549,24 @@ class TestSessionRewindHooks:
         assert watchpoint.hit_count() == len(TOTALS)
         assert (debugger.cpu.instructions, list(debugger.output)) \
             == first
+
+    def test_fresh_session_run_restores_the_start_snapshot(self):
+        """The rewind restores the snapshot the debugger took when it
+        started the program: a watch and a control breakpoint placed
+        later leave with their region and their code patch."""
+        debugger = make_debugger()
+        assert debugger.step(50) == "step"
+        watchpoint = debugger.watch("total")
+        breakpoint = debugger.break_at("bump")
+        reason = debugger.run()
+        while reason != "exited":
+            reason = debugger.run()
+        assert debugger.session.run() == 0
+        assert debugger.watchpoints == [] and not debugger.mrs.regions
+        debugger.unwatch(watchpoint)
+        assert debugger.breakpoints == {}
+        assert debugger.cpu.code.at(breakpoint.addr) is breakpoint.original
+        assert "".join(debugger.output).strip() == "15"
 
     def test_checkpoint_round_trips_window_depth(self):
         from repro.machine.checkpoint import Checkpoint
@@ -748,3 +793,74 @@ class TestMonitorChangeOnAStrideBoundary:
         assert list(debugger.breakpoints.values()) == [breakpoint]
         assert debugger.run() == "breakpoint:bump"
         assert debugger.cpu.instructions == entered
+
+
+#: SOURCE with a second global written after each iteration's total
+LIMITED = SOURCE.replace("int grid[8];", "int grid[8];\nint limit;").replace(
+    "grid[i] = total;", "grid[i] = total;\n        limit = i;")
+
+READS = """
+int g;
+int t;
+int main() {
+    g = 1;
+    t = g;
+    g = 2;
+    t = t + g;
+    print(t);
+    return 0;
+}
+"""
+
+#: (source, monitor_reads, watched name, watch options, record options)
+WATCH_KINDS = {
+    "plain": (SOURCE, False, "total", {}, {}),
+    "predicate": (SOURCE, False, "total", {"expr": "$value > 4"}, {}),
+    "callable": (SOURCE, False, "total",
+                 {"condition": lambda value: value % 2 == 1}, {}),
+    "reads-memory": (LIMITED, False, "total", {"expr": "limit == 2"}, {}),
+    "rise-evicted": (SOURCE, False, "total",
+                     {"expr": "$value > 4", "when": "rise"},
+                     {"max_trace": 2}),
+    "plain-reads": (READS, True, "g", {}, {}),
+}
+
+
+class TestOneFiringRule:
+    """``reverse_continue`` lands where the live engine fired: it reads
+    the watchpoints' firing logs, so every watch kind walks back over
+    exactly the forward stops, whatever the trace can re-evaluate."""
+
+    @pytest.mark.parametrize("kind", sorted(WATCH_KINDS))
+    def test_reverse_lands_on_the_forward_stops(self, kind):
+        source, reads, name, options, record_options = WATCH_KINDS[kind]
+        debugger = Debugger.for_source(source, optimize="full",
+                                       monitor_reads=reads)
+        watchpoint = debugger.watch(name, action="stop", **options)
+        recorder = debugger.record(stride=50, **record_options)
+        forward = []
+        while debugger.run() == "watch":
+            forward.append(debugger.cpu.instructions)
+        assert forward
+        backward = []
+        while debugger.reverse_continue() == "watch":
+            assert debugger.stopped_watch is watchpoint
+            assert debugger.stopped_watch in debugger.watchpoints
+            backward.append(debugger.cpu.instructions)
+        assert backward == forward[::-1]
+        assert debugger.stop_reason == "replay-start"
+        assert debugger.cpu.instructions == recorder.start_index
+
+    def test_a_watch_armed_after_the_firings_never_stops_reverse(self):
+        """Travel restores a keyframe from before a late watch existed,
+        so its region's earlier writes are no stops; ``last_write`` is
+        the query for them."""
+        debugger = make_debugger()
+        debugger.watch("total", expr="$value == 100")
+        recorder = debugger.record(stride=50)
+        assert debugger.run() == "exited"
+        late = debugger.watch("total")
+        assert debugger.reverse_continue() == "replay-start"
+        assert debugger.stopped_watch is None
+        assert debugger.cpu.instructions == recorder.start_index
+        assert late not in debugger.watchpoints

@@ -153,7 +153,7 @@ class TestConditionalWatchpoints:
                                     expr="$value > 9")
         assert debugger.run() == "exited"
         expected = [value for value in G_VALUES if value > 9]
-        assert [value for _a, _s, value in watchpoint.hits] == expected
+        assert [value for _a, _s, value, _i in watchpoint.hits] == expected
         assert watchpoint.stats.evals == len(G_VALUES)
         assert watchpoint.stats.suppressed \
             == len(G_VALUES) - len(expected)
@@ -167,7 +167,7 @@ class TestConditionalWatchpoints:
         previous = [0] + G_VALUES[:-1]
         expected = [new for old, new in zip(previous, G_VALUES)
                     if new - old > 9]
-        assert [value for _a, _s, value in watchpoint.hits] == expected
+        assert [value for _a, _s, value, _i in watchpoint.hits] == expected
 
     def test_predicate_can_read_globals(self):
         debugger = Debugger.for_source(SOURCE)
@@ -176,7 +176,7 @@ class TestConditionalWatchpoints:
         assert debugger.run() == "exited"
         # limit is 10 by the time g is first written
         expected = [value for value in G_VALUES if value > 10]
-        assert [value for _a, _s, value in watchpoint.hits] == expected
+        assert [value for _a, _s, value, _i in watchpoint.hits] == expected
 
     def test_bad_edge_and_missing_predicate_rejected(self):
         debugger = Debugger.for_source(SOURCE)
@@ -249,7 +249,7 @@ class TestTransitionOracle:
         assert debugger.run() == "exited"
         truths = [value > 9 for value in G_VALUES]
         expected = brute_force_edges(False, truths, when)
-        assert [value for _a, _s, value in watchpoint.hits] \
+        assert [value for _a, _s, value, _i in watchpoint.hits] \
             == [G_VALUES[i] for i in expected]
         assert watchpoint.stats.fired == len(expected)
         assert watchpoint.kind == "transition"
@@ -269,7 +269,7 @@ class TestTransitionOracle:
         seed0 = plain.evaluate("__seed")[2]
         probe = plain.watch("__seed", action="log")
         assert plain.run() == "exited"
-        values = [value for _a, _s, value in probe.hits]
+        values = [value for _a, _s, value, _i in probe.hits]
         assert len(values) > 10  # the oracle needs real churn
 
         transition = Debugger.for_source(source, lang=lang)
@@ -279,7 +279,7 @@ class TestTransitionOracle:
 
         truths = [(value & 12) == 8 for value in values]
         expected = brute_force_edges((seed0 & 12) == 8, truths, when)
-        assert [value for _a, _s, value in watchpoint.hits] \
+        assert [value for _a, _s, value, _i in watchpoint.hits] \
             == [values[i] for i in expected]
 
 
