@@ -615,8 +615,7 @@ class Debugger:
         written while recorded)."""
         replay = self._require_replay()
         _entry, addr, size = self.resolve(expression, func)
-        return replay.last_write_to(addr, size, expression=expression,
-                                    func=func)
+        return replay.last_write_to(addr, size)
 
     # -- execution -----------------------------------------------------------------
 

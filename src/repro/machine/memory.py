@@ -7,7 +7,8 @@ until touched, exactly like lazily allocated pages.
 
 Page protection supports the VAX DEBUG baseline (:mod:`repro.baselines.
 vmprotect`): writes to a protected page invoke a fault handler before the
-write is performed.
+write is performed.  The time-travel last-write scan (:mod:`repro.replay.
+controller`) uses the same hook to see a region's stores as they happen.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ class Memory:
         self.words: Dict[int, int] = {}
         self.protected_pages: Set[int] = set()
         #: called as ``fault_handler(addr, size)`` before a write to a
-        #: protected page; installed by the vmprotect baseline.
+        #: protected page, while ``cpu.pc`` and ``cpu.instructions``
+        #: still name the store; installed by the vmprotect and hardware
+        #: baselines, and by the last-write scan while it re-executes.
         self.fault_handler: Optional[Callable[[int, int], None]] = None
         #: program break for the ``sbrk`` trap.
         self.brk = heap_base

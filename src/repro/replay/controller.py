@@ -1,12 +1,12 @@
 """Time travel: reverse-continue / reverse-step / last-write-to.
 
 The controller answers "what happened before now?" questions with the
-only primitive a deterministic simulator needs: restore the nearest
-keyframe at or before the target and re-execute forward with the MRS
-armed.  Re-execution goes through :meth:`Recorder.resume`, the loop
-``run`` and ``step`` use, in the recorder's ``replay`` mode, so every
-monitor hit is verified against the recorded trace and every keyframe
-crossing checks a state digest — a drifted replay raises
+only primitive a deterministic simulator needs: restore a keyframe at
+or before the target and re-execute forward with the MRS armed.
+Re-execution goes through :meth:`Recorder.resume`, the loop ``run``
+and ``step`` use, in the recorder's ``replay`` mode, so every monitor
+hit is verified against the recorded trace and every keyframe crossing
+checks a state digest — a drifted replay raises
 :class:`~repro.errors.DivergenceError` instead of stopping at a wrong
 point in time.
 
@@ -19,26 +19,25 @@ keyframe restore), so it stops exactly where the live engine fired.
 
 * **trace query** — when the asked-about region has been continuously
   monitored since before the candidate write, the recorded trace
-  already holds the answer;
+  already holds the answer, dated by its notification trap;
 * **re-execution scan** — otherwise the controller checkpoints the
-  present, rewinds to the oldest keyframe, arms a temporary watchpoint
-  over the region (``PreMonitor`` + ``CreateMonitoredRegion``, so
-  optimizer-eliminated checks are re-inserted) and re-executes to the
-  current point in monitoring-invariant time — the count of original
-  (``orig``) instructions, which an extra monitored region cannot
-  perturb, then on through inserted code up to the next original
-  instruction — collecting hits; the present is then restored
-  bit-exactly.  The ``lib`` count is not invariant: arming the scanned
-  region activates Kessler patches whose checks call the MRS library.
+  present and re-executes the user's own recorded timeline, newest
+  keyframe segment first, by the same verified replay travel uses.  It
+  arms no watchpoint and leaves the monitor set alone; it observes the
+  region's original (``orig``) stores through the memory's store hook
+  (:attr:`Memory.fault_handler <repro.machine.memory.Memory.
+  fault_handler>`), which runs before the store lands, so an answer
+  names the store's own pc and instruction index.  The first segment
+  holding such a store answers, and the present is then restored
+  bit-exactly.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import DivergenceError, ReplayError
-from repro.replay.recorder import Recorder
-from repro.replay.trace import WriteRecord
+from repro.replay.recorder import Keyframe, Recorder
 
 __all__ = ["LastWrite", "ReplayController"]
 
@@ -46,8 +45,12 @@ __all__ = ["LastWrite", "ReplayController"]
 class LastWrite(NamedTuple):
     """The answer to ``last_write_to``: who wrote this region last."""
 
-    pc: int       #: notification-trap pc of the write
-    index: int    #: instruction index of the write
+    #: pc of the write's notification trap (``trace``) or of the store
+    #: itself (``scan``)
+    pc: int
+    #: instruction index of that trap (``trace``) or store (``scan``);
+    #: the region holds ``new`` from ``index + 1`` on
+    index: int
     old: int      #: word value before the write
     new: int      #: word value after the write
     addr: int     #: written address
@@ -90,6 +93,18 @@ class ReplayController:
                 "cannot replay across a monitor-set change (keyframe at "
                 "%d, target %d)" % (keyframe.index, target),
                 keyframe=keyframe.index, target=target)
+        self._replay(keyframe, target)
+        if any(target < change <= recorder.end_index
+               for change in recorder.monitor_changes):
+            # the future beyond target assumed a different monitor set;
+            # it cannot be verified from here, so fork the timeline
+            recorder.truncate_future(target)
+
+    def _replay(self, keyframe: Keyframe, target: int) -> None:
+        """Restore *keyframe* and re-execute recorded time up to
+        instruction index *target* through :meth:`Recorder.resume`."""
+        recorder = self.recorder
+        cpu = self.cpu
         recorder.restore_keyframe(keyframe)
         if keyframe.index == target:
             # landed by restore alone: verify it as re-execution landing
@@ -109,11 +124,6 @@ class ReplayController:
         finally:
             # re-executing recorded time is travel, not recording
             recorder.wall_time_s = spent
-        if any(target < change <= recorder.end_index
-               for change in recorder.monitor_changes):
-            # the future beyond target assumed a different monitor set;
-            # it cannot be verified from here, so fork the timeline
-            recorder.truncate_future(target)
 
     # -- reverse execution --------------------------------------------------
 
@@ -165,18 +175,12 @@ class ReplayController:
 
     # -- last-write queries --------------------------------------------------
 
-    def last_write_to(self, start: int, size: int,
-                      expression: Optional[str] = None,
-                      func: Optional[str] = None
-                      ) -> Optional[LastWrite]:
-        """Most recent write to ``[start, start+size)`` at or before
-        the current point in time, or None if it was never written.
-
-        *expression* (a watchable name resolving to the region) enables
-        the re-execution scan when the region was not monitored for the
-        whole recording; without it, an unmonitored region raises
-        :class:`ReplayError` rather than answering incompletely.
-        """
+    def last_write_to(self, start: int, size: int) -> Optional[LastWrite]:
+        """Most recent write to ``[start, start+size)`` before the
+        current point in time, or None if it was never written while
+        recorded.  Answered from the trace when the region has been
+        monitored since before the candidate write, else by a
+        re-execution scan of the recorded timeline."""
         recorder = self.recorder
         now = self.cpu.instructions
         record = recorder.trace.last_write_to(start, size,
@@ -191,67 +195,63 @@ class ReplayController:
                 and covered <= recorder.start_index \
                 and recorder.trace.dropped == 0:
             return None  # provably never written while recorded
-        if expression is None:
-            raise ReplayError(
-                "region 0x%x+%d was not monitored for the whole "
-                "recording; pass the symbol name so a re-execution "
-                "scan can arm it" % (start, size),
-                start=start, size=size)
-        return self._scan_last_write(start, size, expression, func)
+        return self._scan_last_write(start, size)
 
-    def _scan_last_write(self, start: int, size: int, expression: str,
-                         func: Optional[str]) -> Optional[LastWrite]:
+    def _scan_last_write(self, start: int, size: int
+                         ) -> Optional[LastWrite]:
+        """Re-execute the recorded timeline one keyframe segment at a
+        time, newest first, watching the region's ``orig`` stores from
+        the store hook; the newest store of the first segment that has
+        one answers.  The hook runs before the store lands, so ``old``
+        is read there and ``new`` is the written word at the segment's
+        end, which no later store in the segment touched."""
         debugger = self.debugger
         cpu = self.cpu
+        mem = cpu.mem
         recorder = self.recorder
-        if not recorder.keyframes:
-            raise ReplayError("no keyframes to scan from",
-                              capture_faults=len(recorder.capture_faults))
-        origin = recorder.keyframes[0]
-        target_progress = cpu.tag_counts.get("orig", 0)
+        stores = []
+
+        def on_store(addr: int, width: int) -> None:
+            if addr < start + size and start < addr + width \
+                    and cpu.code.at(cpu.pc).tag == "orig":
+                stores.append((cpu.pc, cpu.instructions, addr, width,
+                               mem.read_word(addr & ~3)))
+
         # save the present (including recorder state the scan perturbs)
         saved = debugger.checkpoint()
         saved_mode, saved_cursor = recorder.mode, recorder._cursor
         saved_stop = (debugger.stop_reason, debugger.stopped_watch)
-        hits: List[WriteRecord] = []
-        recorder._in_hook = True
+        saved_hook = (mem.fault_handler, set(mem.protected_pages))
+        end = cpu.instructions
+        mem.fault_handler = on_store
+        mem.protect_range(start, size)
         try:
-            recorder.restore_keyframe(origin, mode="scan")
-            recorder._scan_hits = hits
-            # arming seeds the debugger's shadow over the region from
-            # memory at the origin, so scanned hits carry true old values
-            temp = debugger.watch(expression, func=func, action="log")
-            exited = False
-            while not exited:
-                # an orig instruction advances progress by exactly one,
-                # so a chunk of `remaining` instructions can reach but
-                # never overshoot the target progress
-                remaining = target_progress - cpu.tag_counts.get("orig", 0)
-                if remaining <= 0:
-                    break
-                exited = debugger._step_raw(remaining) == "exited"
-            # the final landed store's check sequence (and its
-            # notification trap) may still be pending: drain inserted
-            # instructions up to — not including — the next original one
-            for _ in range(256):
-                if exited:
-                    break
-                insn = cpu.code.at(cpu.pc)
-                if insn is None or insn.tag == "orig":
-                    break
-                exited = debugger._step_raw(1) == "exited"
-            temp.delete()
+            for keyframe in reversed(recorder.keyframes):
+                if keyframe.index >= end:
+                    continue
+                if any(keyframe.index < change < end
+                       for change in recorder.monitor_changes):
+                    raise ReplayError(
+                        "cannot scan across a monitor-set change "
+                        "(keyframe at %d, segment end %d)"
+                        % (keyframe.index, end),
+                        keyframe=keyframe.index, target=end)
+                self._replay(keyframe, end)
+                if stores:
+                    pc, index, addr, width, old = stores[-1]
+                    return LastWrite(pc, index, old,
+                                     mem.read_word(addr & ~3), addr,
+                                     width, "scan")
+                end = keyframe.index
+            if end > recorder.start_index:
+                # the oldest keyframe's capture faulted
+                raise ReplayError(
+                    "no keyframe at or before index %d (capture faults: "
+                    "%d)" % (end - 1, len(recorder.capture_faults)),
+                    target=end - 1)
+            return None
         finally:
-            recorder._scan_hits = None
-            recorder._in_hook = False
+            mem.fault_handler, mem.protected_pages = saved_hook
             debugger.restore(saved, discard_recording=False)
             recorder.mode, recorder._cursor = saved_mode, saved_cursor
             debugger.stop_reason, debugger.stopped_watch = saved_stop
-        last: Optional[WriteRecord] = None
-        for record in hits:
-            if not record.is_read and record.overlaps(start, size):
-                last = record
-        if last is None:
-            return None
-        return LastWrite(last.pc, last.index, last.old, last.new,
-                         last.addr, last.size, "scan")

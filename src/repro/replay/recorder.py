@@ -9,15 +9,18 @@ with the old value read from that shadow) into a
 :class:`~repro.replay.trace.WriteTrace`.  The recorder holds no watch
 state of its own and registers no MRS callback.
 :meth:`Recorder.resume` is the one loop that moves a recorded debuggee
-forward: ``Debugger.run``, ``Debugger.step`` and time travel all go
-through it.
+forward: ``Debugger.run``, ``Debugger.step``, time travel and the
+last-write scan all go through it.
 The simulator has no external inputs, so a keyframe plus forward
 re-execution reproduces any recorded point exactly — that is the whole
 replay contract, and the recorder verifies it: while re-executing over
 already-recorded time (``mode == "replay"``) each observed hit is
 compared against the recorded one and each keyframe crossing checks a
 state digest, raising :class:`~repro.errors.DivergenceError` on any
-drift rather than silently answering from a wrong timeline.
+drift rather than silently answering from a wrong timeline.  The one
+keyframe it does not check is one captured at a monitor-set change:
+it holds the state after the debugger's change, and only the
+last-write scan re-executes up to one from before it.
 
 Keyframe ring eviction keeps geometric coverage: when the ring fills,
 the first and newest keyframes are kept, every other interior one is
@@ -124,8 +127,8 @@ class Recorder:
         self.keyframes: List[Keyframe] = []
         self.faults = faults if faults is not None \
             else getattr(debugger.mrs, "faults", None)
-        #: "record" (frontier), "replay" (verifying re-execution over
-        #: recorded time), "scan" (transient last-write re-execution)
+        #: "record" (frontier) or "replay" (verifying re-execution over
+        #: recorded time)
         self.mode = "record"
         #: (region_start, region_size) -> covered-since index
         self.coverage: Dict[Tuple[int, int], int] = {}
@@ -137,8 +140,6 @@ class Recorder:
         #: frontier: highest instruction index recorded so far
         self.end_index = 0
         self._cursor: Optional[int] = None
-        self._scan_hits: Optional[List[WriteRecord]] = None
-        self._in_hook = False
         #: wall-clock seconds spent inside resume() by run and step —
         #: recording cost, reported to the store's run header (not part
         #: of the trace bytes: wall time is not deterministic); time
@@ -215,8 +216,6 @@ class Recorder:
         diverge, since the change is a debugger action re-execution
         cannot reproduce).
         """
-        if self._in_hook:
-            return
         now = self.cpu.instructions
         if now < self.end_index or self.mode == "replay":
             self.truncate_future(now)
@@ -308,21 +307,12 @@ class Recorder:
                 best = keyframe
         return best
 
-    def restore_keyframe(self, keyframe: Keyframe,
-                         mode: str = "replay") -> None:
+    def restore_keyframe(self, keyframe: Keyframe) -> None:
         """Rewind the debugger to *keyframe* and arm verification."""
-        outer = self._in_hook
-        self._in_hook = True
-        try:
-            self.debugger.restore(keyframe.checkpoint,
-                                  discard_recording=False)
-        finally:
-            self._in_hook = outer
-        self.mode = mode
-        if mode == "replay":
-            self._cursor = (keyframe.trace_pos
-                            if keyframe.trace_pos >= self.trace.base
-                            else None)
+        self.debugger.restore(keyframe.checkpoint, discard_recording=False)
+        self.mode = "replay"
+        self._cursor = (keyframe.trace_pos
+                        if keyframe.trace_pos >= self.trace.base else None)
 
     def check_keyframe_digest(self, keyframe: Keyframe) -> None:
         observed = state_digest(self.cpu)
@@ -345,10 +335,6 @@ class Recorder:
         cpu = self.cpu
         record = WriteRecord(cpu.instructions, cpu.pc, addr, size,
                              old, new, is_read)
-        if self.mode == "scan":
-            if self._scan_hits is not None:
-                self._scan_hits.append(record)
-            return
         if self.mode == "replay":
             self._verify_hit(record)
             return
@@ -384,7 +370,8 @@ class Recorder:
     def resume(self, count: int = 400_000_000) -> str:
         """Move the debuggee up to *count* instructions forward — the
         one loop that does so under a recording, behind
-        :meth:`Debugger.run`, :meth:`Debugger.step` and time travel.
+        :meth:`Debugger.run`, :meth:`Debugger.step`, time travel and the
+        last-write scan.
 
         Steps in chunks that land exactly on keyframe boundaries.  Over
         already-recorded time it verifies (each monitor hit against the
@@ -429,7 +416,9 @@ class Recorder:
         now = self.cpu.instructions
         landed = now == boundary
         if self.mode == "replay":
-            if landed:
+            # a change keyframe holds the state after the debugger's
+            # change; only the last-write scan re-executes onto one
+            if landed and now not in self.monitor_changes:
                 for keyframe in self.keyframes:
                     if keyframe.index == now:
                         self.check_keyframe_digest(keyframe)

@@ -509,8 +509,11 @@ class RequestRouter:
 
     def _last_write(self, arguments: Dict[str, Any], emit
                     ) -> Dict[str, Any]:
-        """Who last wrote *expression*?  May re-execute (the scan
-        path), so it runs on the bounded execution pool."""
+        """Who last wrote *expression*?  May re-execute recorded time
+        (the scan path, whose replayed hits stream as ``monitorHit``
+        events), so it runs on the bounded execution pool.  ``pc`` and
+        ``instruction`` name the notification trap of a ``trace``
+        answer and the store itself of a ``scan`` answer."""
         session_id = _require_arg(arguments, "sessionId")
         expression = _require_arg(arguments, "expression")
         func = _optional_arg(arguments, "func", None, str)

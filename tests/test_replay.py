@@ -7,12 +7,15 @@ The ISSUE acceptance criteria exercised here:
   region; ``last_write`` returns (pc, instruction index, old/new value);
 * recording a workload twice from the same seed yields byte-identical
   write-traces;
-* ``last_write_to`` agrees with a brute-force forward scan;
+* ``last_write_to`` agrees with a brute-force forward scan, and every
+  answer is a point of the user's own timeline;
 * divergence raises :class:`DivergenceError`, never a silent wrong
   answer;
 * a ``replay.keyframe`` injection fault degrades the recording (the
   keyframe is skipped and counted) but never publishes a torn keyframe.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,9 @@ from hypothesis import given, settings, strategies as st
 from repro.debugger import Debugger
 from repro.errors import DivergenceError, ReplayError
 from repro.faults import REPLAY_KEYFRAME, FaultPlan
-from repro.replay import WriteRecord, WriteTrace, state_digest
+from repro.isa.instructions import StoreInsn
+from repro.replay import (ReplayController, WriteRecord, WriteTrace,
+                          state_digest)
 from repro.session import DebugSession
 
 SOURCE = """
@@ -54,6 +59,11 @@ def make_debugger(source=SOURCE, faults=None):
     return Debugger.for_source(source, optimize="full")
 
 
+def run_to_exit(debugger):
+    while debugger.run() != "exited":
+        pass
+
+
 def value_of(debugger, expression):
     _entry, _addr, value = debugger.evaluate(expression)
     return value
@@ -65,10 +75,24 @@ def record_run(stride=200, faults=None, watches=("total",),
     watchpoints = {expr: debugger.watch(expr, action=action)
                    for expr in watches}
     recorder = debugger.record(stride=stride, **record_options)
-    reason = debugger.run()
-    while reason != "exited":
-        reason = debugger.run()
+    run_to_exit(debugger)
     return debugger, recorder, watchpoints
+
+
+def check_answer(debugger, recorder, answer):
+    """A ``last_write`` answer is a point of the user's own timeline:
+    below now, and the region holds ``new`` one instruction after it
+    (a scan answer's ``index`` is the store's, where it still holds
+    ``old``).  Travel may fork the timeline, so it goes last."""
+    travel = ReplayController(debugger, recorder).travel_to
+    memory = debugger.cpu.mem
+    assert answer.index < debugger.cpu.instructions
+    travel(answer.index + 1)
+    assert memory.read_word(answer.addr & ~3) == answer.new
+    if answer.source == "scan":
+        travel(answer.index)
+        assert debugger.cpu.pc == answer.pc
+        assert memory.read_word(answer.addr & ~3) == answer.old
 
 
 class TestWriteTrace:
@@ -235,24 +259,27 @@ class TestLastWrite:
         assert (answer.old, answer.new) == (0, 6)
 
     def test_scan_agrees_with_brute_force_trace(self):
-        """The re-execution scan must agree with a recording where the
-        region was monitored (= brute-force forward scan) all along."""
-        for watched, expression in (
-                ("total", "grid[4]"),
-                # arming total in the scan activates Kessler patches
-                # whose checks call the MRS library, so the scan runs
-                # more `lib` instructions than the recording did
-                ("grid[4]", "total")):
-            scanned, _r, _w = record_run(watches=(watched,))
+        """The re-execution scan finds the write a recording where the
+        region was monitored all along (= brute-force forward scan)
+        found, and dates it in its own timeline: the store's index and
+        pc, where the region holds ``old``, and ``new`` one instruction
+        later.  (The brute-force run's index is its notification trap's,
+        in a timeline with different checks, so it is no reference.)"""
+        for watched, expression in (("total", "grid[4]"),
+                                    ("grid[4]", "total")):
+            scanned, recorder, _w = record_run(watches=(watched,))
             brute, _r2, _w2 = record_run(watches=(watched, expression))
             from_scan = scanned.last_write(expression)
             from_trace = brute.last_write(expression)
             assert from_scan.source == "scan"
             assert from_trace.source == "trace"
-            assert (from_scan.pc, from_scan.index, from_scan.old,
-                    from_scan.new, from_scan.addr, from_scan.size) == \
-                   (from_trace.pc, from_trace.index, from_trace.old,
-                    from_trace.new, from_trace.addr, from_trace.size)
+            assert (from_scan.old, from_scan.new, from_scan.addr,
+                    from_scan.size) == \
+                   (from_trace.old, from_trace.new, from_trace.addr,
+                    from_trace.size)
+            store = scanned.cpu.code.at(from_scan.pc)
+            assert isinstance(store, StoreInsn) and store.tag == "orig"
+            check_answer(scanned, recorder, from_scan)
 
     def test_scan_answers_as_of_the_travelled_point(self):
         debugger, _recorder, _w = record_run()
@@ -279,6 +306,134 @@ class TestLastWrite:
         # grid[7] is monitored for the whole run and never written
         # (the loop stops at i == 5)
         assert debugger.last_write("grid[7]") is None
+
+
+class TestLastWriteInTheUsersTimeline:
+    """The scan re-executes the timeline the user recorded, so its
+    answer is a travel target there, whatever was watched when."""
+
+    @pytest.mark.parametrize("history", ["grid-watched-a-while",
+                                         "total-never-watched"])
+    def test_scan_answer_is_a_travel_target(self, history):
+        debugger = make_debugger()
+        recorder = debugger.record(stride=50)
+        if history == "grid-watched-a-while":
+            debugger.step(100)
+            watchpoint = debugger.watch("grid[1]")
+            debugger.step(150)
+            debugger.unwatch(watchpoint)
+        run_to_exit(debugger)
+        answer = debugger.last_write("total")
+        assert answer.source == "scan"
+        assert (answer.old, answer.new) == (10, 15)
+        check_answer(debugger, recorder, answer)
+
+    @pytest.mark.parametrize("tamper", ["trace", "keyframe"])
+    def test_tampered_scan_window_raises_and_keeps_the_present(self,
+                                                               tamper):
+        """The scan replays through the verifying loop: a tampered
+        trace record or keyframe digest in the window it re-executes
+        raises instead of answering, and the present comes back."""
+        debugger, recorder, _w = record_run(stride=100)
+        if tamper == "trace":
+            position = recorder.trace.total - 2
+            genuine = recorder.trace.at(position)
+            recorder.trace.replace(
+                position, genuine._replace(new=genuine.new ^ 0xFF))
+        else:
+            recorder.keyframes[1].digest ^= 0xDEAD
+
+        def present():
+            return (debugger.cpu.instructions, state_digest(debugger.cpu),
+                    recorder.trace.to_bytes(), recorder.mode,
+                    debugger.stop_reason)
+
+        before = present()
+        with pytest.raises(DivergenceError):
+            # grid[7] is unwatched and never written: the scan
+            # re-executes the whole recording
+            debugger.last_write("grid[7]")
+        assert present() == before
+
+    @pytest.mark.parametrize("faulted", ["first", "at-a-change"])
+    def test_scan_refuses_a_window_it_cannot_replay(self, faulted):
+        """With the recording's first keyframe, or the keyframe of a
+        watch placed later, lost to a capture fault, the scan refuses
+        rather than answer from part of the timeline or across the
+        change."""
+        if faulted == "first":
+            plan = FaultPlan.nth(REPLAY_KEYFRAME, 0)
+            debugger, recorder, _w = record_run(stride=100, faults=plan)
+        else:
+            plan = FaultPlan.nth(REPLAY_KEYFRAME, 1)
+            debugger = make_debugger(faults=plan)
+            recorder = debugger.record(stride=1000)
+            debugger.step(100)
+            debugger.watch("grid[1]")
+            run_to_exit(debugger)
+            assert recorder.monitor_changes == [100]
+        assert len(recorder.capture_faults) == 1
+        end = (debugger.cpu.instructions, state_digest(debugger.cpu))
+        with pytest.raises(ReplayError):
+            debugger.last_write("grid[7]")
+        assert (debugger.cpu.instructions,
+                state_digest(debugger.cpu)) == end
+
+
+#: watched and unwatched in the random histories
+HISTORY_WATCHES = ("total", "grid[1]", "grid[3]", "grid[4]")
+#: asked about at the end of each history
+HISTORY_QUERIES = ("total", "grid[1]", "grid[2]", "grid[3]", "grid[4]",
+                   "grid[5]")
+
+
+def random_history(seed):
+    """SOURCE recorded under 12 seeded operations: steps, watches and
+    unwatches, and excursions that travel back and step to the same
+    index again."""
+    rng = random.Random(seed)
+    debugger = make_debugger()
+    recorder = debugger.record(stride=rng.choice((10, 25, 50)),
+                               max_keyframes=rng.choice((4, 8, 64)))
+    for _ in range(12):
+        operation = rng.choice(("step", "watch", "excursion"))
+        if operation == "step":
+            debugger.step(rng.randint(1, 60))
+        elif operation == "watch":
+            name = rng.choice(HISTORY_WATCHES)
+            armed = [watchpoint for watchpoint in debugger.watchpoints
+                     if watchpoint.name == name]
+            if armed:
+                debugger.unwatch(armed[0])
+            else:
+                debugger.watch(name, action=rng.choice(("log", "stop")))
+        else:
+            here = debugger.cpu.instructions
+            if rng.random() < 0.5:
+                debugger.reverse_step(rng.randint(1, 80))
+            else:
+                debugger.reverse_continue()
+            while debugger.cpu.instructions < here:
+                debugger.step(here - debugger.cpu.instructions)
+    return debugger, recorder
+
+
+class TestLastWriteHistories:
+    """A seeded model check: after any history of steps, watch changes
+    and excursions, every ``last_write`` answer is a travel target in
+    the user's timeline.  A trace answer is dated by its notification
+    trap, some 20 instructions after the store, so the region need not
+    hold ``new`` at now."""
+
+    def test_answers_are_travel_targets(self):
+        for seed in range(40):
+            debugger, recorder = random_history(seed)
+            answers = [answer for answer in map(debugger.last_write,
+                                                HISTORY_QUERIES)
+                       if answer is not None]
+            # travel may fork the timeline: check the newest first
+            for answer in sorted(answers, key=lambda a: -a.index):
+                check_answer(debugger, recorder, answer)
 
 
 class TestOneOldValueShadow:
