@@ -33,13 +33,12 @@ class LoadedProgram:
         self.entry = entry
 
     def run(self, max_instructions: int = 400_000_000,
-            watchdog=None, resume: bool = False) -> int:
+            resume: bool = False) -> int:
         """Run from the entry stub; with ``resume=True``, continue from
-        the current pc instead (e.g. after a watchdog
+        the current pc instead (e.g. after a
         :class:`~repro.machine.cpu.SimulationLimit`)."""
         return self.cpu.run(start=None if resume else self.entry,
-                            max_instructions=max_instructions,
-                            watchdog=watchdog)
+                            max_instructions=max_instructions)
 
 def load_program(program: Program,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,

@@ -21,6 +21,7 @@ from typing import Callable, List, Tuple
 from repro.asm.assembler import assemble
 from repro.asm.loader import load_program
 from repro.core.regions import MonitoredRegion, RegionSet
+from repro.machine.cpu import SimulationLimit
 
 #: cycles per debugger round trip (context switch out + inspect + back)
 DEFAULT_TRAP_COST = 130_000
@@ -43,14 +44,16 @@ class TrapBasedDebugger:
         return region
 
     def run(self, max_instructions: int = 10_000_000) -> int:
-        """Run to completion, trapping on every instruction."""
+        """Run to completion, trapping on every instruction; raises
+        :class:`~repro.machine.cpu.SimulationLimit` when
+        *max_instructions* run out with the program still live."""
         cpu = self.loaded.cpu
         cpu.pc = self.loaded.entry
         cpu.npc = self.loaded.entry + 4
         cpu.running = True
         seen_writes = 0
-        budget = max_instructions
-        while cpu.running:
+        limit = cpu.instructions + max(1, max_instructions)
+        while cpu.running and cpu.instructions < limit:
             cpu.charge(self.trap_cost)  # stop, inspect, resume
             cpu.step()
             # the debugger inspects any memory effect of the instruction
@@ -61,9 +64,8 @@ class TrapBasedDebugger:
                     self.hits.append((addr, width, False))
                     for callback in self.callbacks:
                         callback(addr, width, False)
-            budget -= 1
-            if budget <= 0:
-                raise RuntimeError("instruction budget exhausted")
+        if cpu.running:
+            raise SimulationLimit.at(cpu, max_instructions)
         return cpu.exit_code if cpu.exit_code is not None else 0
 
     def overhead_factor(self, baseline_cycles: int) -> float:

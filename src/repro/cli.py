@@ -188,7 +188,8 @@ def _add_replay_parser(subparsers) -> None:
                         help="keyframe stride in instructions")
     parser.add_argument("--back", type=int, default=None, metavar="N",
                         help="stop after N reverse-continues "
-                             "(default: walk to the start)")
+                             "(default: walk to the start, or stay at "
+                             "the end with --last-write)")
     parser.add_argument("--last-write", action="append", default=[],
                         metavar="EXPR",
                         help="report the last write to EXPR "
@@ -456,7 +457,10 @@ def _command_replay(args) -> int:
         else:
             print("-- trace DIVERGED from %s" % args.verify)
             return 1
-    remaining = args.back if args.back is not None else -1
+    remaining = args.back
+    if remaining is None:
+        # a last-write question is asked of the present, not the start
+        remaining = 0 if args.last_write else -1
     while remaining != 0:
         reason = debugger.reverse_continue()
         if reason != "watch":

@@ -626,11 +626,7 @@ class Debugger:
         when *max_instructions* run out with the program still live."""
         reason = self.step(max(1, max_instructions))
         if reason == "step":
-            cpu = self.cpu
-            raise SimulationLimit(
-                "exceeded %d instructions budget" % max_instructions,
-                budget="instructions", pc=cpu.pc, cycles=cpu.cycles,
-                instructions=cpu.instructions, traps=cpu.traps_taken)
+            raise SimulationLimit.at(self.cpu, max_instructions)
         return reason
 
     def step(self, count: int = 1) -> str:

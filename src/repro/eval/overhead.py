@@ -5,11 +5,10 @@ The protocol follows §3.3: the monitored region service is attached and
 "independent of the number of breakpoints in use"); the "Disabled" row
 runs the same binary with the global disabled flag set.
 
-Graceful degradation: a bench may be given a cycle/instruction/trap
-budget (directly or via a :class:`~repro.faults.FaultPlan`).  When the
-watchdog trips, runs return partial counts instead of raising, and the
-derived overheads are :class:`Partial` floats marked ``truncated`` so
-they stay distinguishable through averaging and formatting.
+Graceful degradation: a bench may be given an instruction budget.
+When it runs out, runs return partial counts instead of raising, and
+the derived overheads are :class:`Partial` floats marked ``truncated``
+so they stay distinguishable through averaging and formatting.
 """
 
 from __future__ import annotations
@@ -18,16 +17,16 @@ import re
 from typing import Dict, List, Optional
 
 from repro.core.layout import MonitorLayout
-from repro.faults import FaultPlan
 from repro.instrument.plan import OptimizationPlan
 from repro.machine.costs import CostModel, DEFAULT_COSTS
+from repro.machine.cpu import SimulationLimit
 from repro.minic.codegen import compile_source
 from repro.session import DebugSession, run_uninstrumented
 from repro.workloads import WORKLOADS, workload_source
 
 
 class Partial(float):
-    """A measurement cut short by a watchdog budget.
+    """A measurement cut short by its instruction budget.
 
     Behaves as a plain float in arithmetic and formatting, but carries
     ``truncated = True`` so tables can flag it and averages can
@@ -45,9 +44,9 @@ def truncated(value) -> bool:
 class RunResult:
     """Cycle/instruction counts of one simulated run.
 
-    ``truncated`` is True when the run was stopped by a watchdog budget
-    rather than running to completion; the counts then cover only the
-    executed prefix.
+    ``truncated`` is True when the run was stopped by its instruction
+    budget rather than running to completion; the counts then cover
+    only the executed prefix.
     """
 
     __slots__ = ("cycles", "instructions", "stores", "tag_cycles",
@@ -71,22 +70,19 @@ class RunResult:
 class WorkloadBench:
     """One workload, compiled once, runnable under many configurations.
 
-    *max_instructions* and/or *faults* (a :class:`FaultPlan` with
-    budgets) bound every run; exhausting a budget yields a truncated
-    :class:`RunResult` instead of an exception.
+    *max_instructions* bounds every run; exhausting it yields a
+    truncated :class:`RunResult` instead of an exception.
     """
 
     def __init__(self, name: str, scale: float = 1.0,
                  costs: CostModel = DEFAULT_COSTS,
                  cache_bytes: Optional[int] = None,
-                 max_instructions: Optional[int] = None,
-                 faults: Optional[FaultPlan] = None):
+                 max_instructions: int = 400_000_000):
         self.name = name
         self.spec = WORKLOADS[name]
         self.scale = scale
         self.costs = costs
         self.max_instructions = max_instructions
-        self.faults = faults
         from repro.machine.cache import DEFAULT_CACHE_BYTES
         self.cache_bytes = cache_bytes if cache_bytes is not None \
             else DEFAULT_CACHE_BYTES
@@ -94,24 +90,12 @@ class WorkloadBench:
                                   lang=self.spec.lang)
         self._baseline: Optional[RunResult] = None
 
-    def _budget_watchdog(self, mrs=None, output=None):
-        """Watchdog for one run, or None when the bench is unbounded."""
-        if self.faults is not None:
-            watchdog = self.faults.watchdog(mrs=mrs, output=output)
-            if watchdog is not None:
-                return watchdog
-        if self.max_instructions is not None:
-            from repro.machine.cpu import Watchdog
-            return Watchdog(max_instructions=self.max_instructions,
-                            snapshot=False, mrs=mrs, output=output)
-        return None
-
     def baseline(self, record_writes: bool = False) -> RunResult:
         if self._baseline is None or record_writes:
             code, loaded = run_uninstrumented(
                 self.asm, costs=self.costs, record_writes=record_writes,
                 cache_bytes=self.cache_bytes,
-                watchdog=self._budget_watchdog(), on_limit="partial")
+                max_instructions=self.max_instructions, on_limit="partial")
             was_cut = code is None
             if not was_cut and code != 0:
                 raise RuntimeError("%s exited with %d" % (self.name, code))
@@ -131,21 +115,17 @@ class WorkloadBench:
                          layout: Optional[MonitorLayout] = None,
                          record_writes: bool = False,
                          regions: Optional[List] = None) -> RunResult:
-        from repro.machine.cpu import SimulationLimit
-
         session = DebugSession.from_asm(
             self.asm, strategy=strategy, plan=plan, layout=layout,
             costs=self.costs, record_writes=record_writes,
-            cache_bytes=self.cache_bytes, faults=self.faults)
+            cache_bytes=self.cache_bytes)
         if enabled:
             session.mrs.enable()
         for start, size in regions or ():
             session.mrs.create_region(start, size)
-        watchdog = self._budget_watchdog(mrs=session.mrs,
-                                         output=session.output)
         was_cut = False
         try:
-            code = session.run(watchdog=watchdog)
+            code = session.run(max_instructions=self.max_instructions)
         except SimulationLimit:
             was_cut = True
             code = None
@@ -169,8 +149,8 @@ class WorkloadBench:
     def overhead(self, strategy: str, **kwargs) -> float:
         """Percent overhead of *strategy* relative to the baseline.
 
-        Returns a :class:`Partial` when either run was truncated by a
-        watchdog budget.
+        Returns a :class:`Partial` when either run was truncated by its
+        instruction budget.
         """
         instrumented = self.run_instrumented(strategy, **kwargs)
         base = self.baseline()

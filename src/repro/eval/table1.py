@@ -17,17 +17,16 @@ from repro.workloads import C_WORKLOADS, F_WORKLOADS, WORKLOAD_ORDER, \
 
 def measure_workload(name: str, scale: float = 1.0,
                      columns: Optional[List[str]] = None,
-                     max_instructions: Optional[int] = None,
-                     faults=None) -> Dict[str, float]:
+                     max_instructions: int = 400_000_000
+                     ) -> Dict[str, float]:
     """Overhead (%) of each Table 1 column for one workload.
 
-    *max_instructions* / *faults* (a :class:`~repro.faults.FaultPlan`,
-    possibly carrying cycle budgets) bound each run; cells whose runs
-    were cut short come back as truncated :class:`Partial` values.
+    *max_instructions* bounds each run; cells whose runs were cut short
+    come back as truncated :class:`Partial` values.
     """
     columns = columns or TABLE1_COLUMNS
     bench = WorkloadBench(name, scale=scale,
-                          max_instructions=max_instructions, faults=faults)
+                          max_instructions=max_instructions)
     results: Dict[str, float] = {}
     for column in columns:
         if column == "Disabled":
@@ -39,12 +38,11 @@ def measure_workload(name: str, scale: float = 1.0,
 
 def measure_table1(scale: float = 1.0,
                    workloads: Optional[List[str]] = None,
-                   max_instructions: Optional[int] = None,
-                   faults=None) -> Dict[str, Dict[str, float]]:
+                   max_instructions: int = 400_000_000
+                   ) -> Dict[str, Dict[str, float]]:
     workloads = workloads or WORKLOAD_ORDER
     return {name: measure_workload(name, scale,
-                                   max_instructions=max_instructions,
-                                   faults=faults)
+                                   max_instructions=max_instructions)
             for name in workloads}
 
 

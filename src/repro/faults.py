@@ -17,11 +17,6 @@ Two scheduling modes compose:
 * **seeded**: ``FaultPlan(seed=7, rate=0.2)`` faults each trip with
   probability 0.2 from a private PRNG, so a schedule is reproducible
   from its seed alone.
-
-A plan can also carry simulation *budgets* (cycles / instructions /
-traps); :meth:`FaultPlan.watchdog` converts them into a
-:class:`repro.machine.cpu.Watchdog`, which is how the evaluation
-harness injects cycle-budget exhaustion into a benchmark run.
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ FAULT_POINTS = (BITMAP_ALLOC, BITMAP_PUBLISH, PATCH_INSTALL, PATCH_REMOVE,
 
 
 class FaultPlan:
-    """A deterministic schedule of injected faults plus run budgets.
+    """A deterministic schedule of injected faults.
 
     *schedule* maps an injection-point name to the set of zero-based
     occurrence indices that must fault (or ``True`` for "every
@@ -90,10 +85,7 @@ class FaultPlan:
     def __init__(self, schedule: Optional[Mapping[str, Any]] = None,
                  seed: Optional[int] = None, rate: float = 0.0,
                  points: Optional[Iterable[str]] = None,
-                 max_faults: Optional[int] = None,
-                 max_instructions: Optional[int] = None,
-                 max_cycles: Optional[int] = None,
-                 max_traps: Optional[int] = None):
+                 max_faults: Optional[int] = None):
         self._schedule: Dict[str, Any] = {}
         for point, occurrences in (schedule or {}).items():
             self._schedule[point] = (True if occurrences is True
@@ -109,10 +101,6 @@ class FaultPlan:
         #: every fault fired, as (point, occurrence, context) — the
         #: deterministic record a seeded schedule can be replayed from
         self.fired: List[Tuple[str, int, Dict[str, Any]]] = []
-        # simulation budgets (see watchdog())
-        self.max_instructions = max_instructions
-        self.max_cycles = max_cycles
-        self.max_traps = max_traps
 
     @classmethod
     def nth(cls, point: str, n: int = 0, **kwargs) -> "FaultPlan":
@@ -157,28 +145,11 @@ class FaultPlan:
         finally:
             self._suspended -= 1
 
-    # -- budgets -----------------------------------------------------------
-
-    def watchdog(self, **kwargs):
-        """A fresh :class:`~repro.machine.cpu.Watchdog` for this plan's
-        budgets, or ``None`` if the plan carries no budget."""
-        if (self.max_instructions is None and self.max_cycles is None
-                and self.max_traps is None):
-            return None
-        from repro.machine.cpu import Watchdog
-        return Watchdog(max_instructions=self.max_instructions,
-                        max_cycles=self.max_cycles,
-                        max_traps=self.max_traps, **kwargs)
-
     def __repr__(self) -> str:
         parts = []
         if self._schedule:
             parts.append("schedule=%r" % self._schedule)
         if self._rate:
             parts.append("rate=%g" % self._rate)
-        for name in ("max_instructions", "max_cycles", "max_traps"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append("%s=%d" % (name, value))
         return "<FaultPlan %s fired=%d>" % (" ".join(parts) or "empty",
                                             len(self.fired))

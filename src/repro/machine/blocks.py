@@ -45,12 +45,11 @@ The fast path is *selective* and *exact*:
   accounting stays trivially exact), code holes, and unfusable delay
   slots.  The CPU additionally refuses the fast path while a
   page-protection fault handler is armed (the vmprotect baseline traps
-  on stores), while a cycle/trap watchdog budget is armed (those can
-  trip *inside* a block), and when a delayed control transfer is
-  pending (``npc != pc + 4``).
+  on stores), and when a delayed control transfer is pending
+  (``npc != pc + 4``).
 * A block never retires past an instruction budget: callers guard with
   :attr:`BasicBlock.max_retire`, dropping to single stepping near
-  keyframe strides and watchdog boundaries.
+  keyframe strides and budget boundaries.
 
 Mid-block exceptions (division traps, misaligned access, injected
 faults, window underflow) restore exact slow-loop state — pc/npc at the

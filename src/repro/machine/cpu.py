@@ -22,8 +22,6 @@ from repro.machine.state import ProgramImage
 
 WORD_MASK = 0xFFFFFFFF
 
-_INFINITY = float("inf")
-
 #: block-cache probe miss sentinel (cache values may legitimately be None)
 _NO_BLOCK = object()
 
@@ -33,81 +31,26 @@ class SimulationError(ReproError):
 
 
 class SimulationLimit(SimulationError):
-    """A watchdog budget (instructions, cycles or traps) was exhausted.
+    """An instruction budget ran out with the program still live.
 
     This is *resumable*, not fatal: the CPU state is left intact at the
-    instruction boundary where the budget tripped, so calling
-    :meth:`CPU.run` again (with a fresh or re-armed watchdog) continues
-    the simulation.  When the watchdog snapshots, :attr:`checkpoint`
-    carries a full :class:`~repro.machine.checkpoint.Checkpoint` of the
-    debuggee taken at the limit, so a harness can also rewind or fork.
-    :attr:`context` records the budget kind, pc, cycles and instruction
-    count at the limit.
+    instruction boundary where the budget ran out, so running again
+    continues the simulation.  :attr:`context` records the budget kind
+    (``"instructions"``), pc, cycles, instructions and traps taken.
     """
 
-    def __init__(self, *args, checkpoint=None, **context):
-        super().__init__(*args, **context)
-        self.checkpoint = checkpoint
+    @classmethod
+    def at(cls, cpu: "CPU", budget: int) -> "SimulationLimit":
+        """The limit *cpu* reached after a *budget* of instructions:
+        the one constructor every budget-bounded run raises through."""
+        return cls("exceeded %d instructions budget" % budget,
+                   budget="instructions", pc=cpu.pc, cycles=cpu.cycles,
+                   instructions=cpu.instructions, traps=cpu.traps_taken)
 
     @property
     def budget(self) -> Optional[str]:
-        """Which budget tripped: "instructions", "cycles" or "traps"."""
+        """Which budget ran out (always ``"instructions"``)."""
         return self.context.get("budget")
-
-
-class Watchdog:
-    """Cycle / instruction / trap budgets for one :meth:`CPU.run` call.
-
-    Budgets are *relative* to the counters at :meth:`arm` time, so a
-    watchdog composes with resumed runs: re-arming grants the same
-    budget again from wherever the CPU stopped.  On exhaustion the
-    watchdog raises :class:`SimulationLimit`; with ``snapshot=True``
-    (the default) the exception carries a checkpoint of the debuggee —
-    including the monitor state when *mrs*/*output* are supplied — so
-    the caller can degrade gracefully instead of losing the run.
-    """
-
-    def __init__(self, max_instructions: Optional[int] = None,
-                 max_cycles: Optional[int] = None,
-                 max_traps: Optional[int] = None,
-                 snapshot: bool = True, mrs=None, output=None):
-        self.max_instructions = max_instructions
-        self.max_cycles = max_cycles
-        self.max_traps = max_traps
-        self.snapshot = snapshot
-        self.mrs = mrs
-        self.output = output
-        self.insn_limit = _INFINITY
-        self.cycle_limit = _INFINITY
-        self.trap_limit = _INFINITY
-
-    def arm(self, cpu: "CPU") -> None:
-        """Fix absolute limits from the CPU's current counters."""
-        self.insn_limit = (cpu.instructions + self.max_instructions
-                           if self.max_instructions is not None
-                           else _INFINITY)
-        self.cycle_limit = (cpu.cycles + self.max_cycles
-                            if self.max_cycles is not None else _INFINITY)
-        self.trap_limit = (cpu.traps_taken + self.max_traps
-                           if self.max_traps is not None else _INFINITY)
-
-    def exhausted(self, cpu: "CPU") -> None:
-        """Build and raise the :class:`SimulationLimit` for *cpu*."""
-        if cpu.instructions >= self.insn_limit:
-            kind, budget = "instructions", self.max_instructions
-        elif cpu.cycles >= self.cycle_limit:
-            kind, budget = "cycles", self.max_cycles
-        else:
-            kind, budget = "traps", self.max_traps
-        checkpoint = None
-        if self.snapshot:
-            from repro.machine.checkpoint import Checkpoint
-            checkpoint = Checkpoint(cpu, output=self.output, mrs=self.mrs)
-        raise SimulationLimit(
-            "watchdog: exceeded %s %s budget" % (budget, kind),
-            checkpoint=checkpoint, budget=kind, pc=cpu.pc,
-            cycles=cpu.cycles, instructions=cpu.instructions,
-            traps=cpu.traps_taken)
 
 
 class CodeSpace:
@@ -319,40 +262,22 @@ class CPU:
             self.npc += 4
 
     def run(self, start: Optional[int] = None,
-            max_instructions: int = 400_000_000,
-            watchdog: Optional[Watchdog] = None) -> int:
+            max_instructions: int = 400_000_000) -> int:
         """Run until the program exits; return the exit code.
 
-        *watchdog* supersedes *max_instructions* when given; on budget
-        exhaustion it raises a resumable :class:`SimulationLimit` and
-        this CPU remains runnable from where it stopped.
+        Raises a resumable :class:`SimulationLimit` when
+        *max_instructions* have retired with the program still live;
+        this CPU remains runnable from where it stopped.  The budget is
+        checked after a retire, so even an empty one retires an
+        instruction (a zero quota still progresses).
         """
         if start is not None:
             self.pc = start
             self.npc = start + 4
         self.running = True
-        if watchdog is None:
-            watchdog = Watchdog(max_instructions=max_instructions,
-                                snapshot=False)
-        watchdog.arm(self)
-        insn_limit = watchdog.insn_limit
-        cycle_limit = watchdog.cycle_limit
-        trap_limit = watchdog.trap_limit
-        if cycle_limit is _INFINITY and trap_limit is _INFINITY:
-            # the budget is checked after a retire, so even an empty
-            # one retires an instruction (a zero quota still progresses)
-            self._run_until(max(insn_limit, self.instructions + 1))
-            if self.instructions >= insn_limit:
-                watchdog.exhausted(self)
-        else:
-            # cycle/trap budgets can trip *inside* a block, so the
-            # boundary must stay per-instruction: slow loop only
-            while self.running:
-                self.step()
-                if self.instructions >= insn_limit or \
-                        self.cycles >= cycle_limit or \
-                        self.traps_taken >= trap_limit:
-                    watchdog.exhausted(self)
+        self._run_until(self.instructions + max(1, max_instructions))
+        if self.running:
+            raise SimulationLimit.at(self, max_instructions)
         return self.exit_code if self.exit_code is not None else 0
 
     def run_steps(self, count: int) -> None:

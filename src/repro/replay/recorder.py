@@ -118,6 +118,9 @@ class Recorder:
         if stride < 1:
             raise ReplayError("keyframe stride must be positive",
                               stride=stride)
+        if max_trace < 1:
+            raise ReplayError("trace capacity must be positive",
+                              max_trace=max_trace)
         self.debugger = debugger
         self.cpu = debugger.cpu
         self.stride = stride

@@ -22,9 +22,9 @@ Commands
     it: ``monitorHit``, ``hitBreakpointIds``, ``threads`` and
     ``resume`` read each dataId off ``debugger.watchpoints``.
 ``continue`` / ``step``
-    Run the debuggee under the per-request execution quota
-    (PR 1's watchdog budgets re-used as a server resource limit);
-    quota exhaustion is a resumable ``stopped`` reason, not an error.
+    Run the debuggee under the per-request execution quota, an
+    instruction budget enforced by the CPU's one dispatch loop; quota
+    exhaustion is a resumable ``stopped`` reason, not an error.
 ``stepBack`` / ``reverseContinue`` / ``lastWrite``
     Time travel (protocol v2, ``supportsStepBack``): sessions launched
     with ``record`` replay backwards through recorded history; a
@@ -145,9 +145,9 @@ def fault_plan_from_spec(spec: Dict[str, Any]) -> FaultPlan:
     """Build a :class:`FaultPlan` from its JSON representation.
 
     ``{"schedule": {"service.create_region": [0]}, "seed": 7,
-    "rate": 0.1, "maxFaults": 3}``.  No execution budget is taken: a
-    served session runs through ``Debugger.run``/``step``, which arm
-    no watchdog, so the per-request quota is the server's one budget.
+    "rate": 0.1, "maxFaults": 3}``.  A fault plan carries no
+    execution budget: the per-request quota is the server's one
+    budget.
     """
     schedule = None
     if spec.get("schedule"):
@@ -284,18 +284,24 @@ class RequestRouter:
             # names the run in the persistent trace store's analytics
             program["workload"] = workload
 
-        managed = self.manager.create(lambda: build_debugger(
-            program, faults=fault_plan_from_spec(faults_spec)
-            if faults_spec else None))
+        options = record_spec if isinstance(record_spec, dict) else {}
+
+        def build() -> Debugger:
+            # recording starts inside the factory, so a refused record
+            # spec frees the session slot the manager reserved
+            debugger = build_debugger(
+                program, faults=fault_plan_from_spec(faults_spec)
+                if faults_spec else None)
+            if record_spec:
+                debugger.record(stride=options.get("stride"),
+                                max_keyframes=options.get("maxKeyframes"),
+                                max_trace=options.get("maxTrace"))
+            return debugger
+
+        managed = self.manager.create(build)
         managed.subscribe(emit)
         managed.program_spec = program
         self._wire_monitor_stream(managed)
-        if record_spec:
-            options = record_spec if isinstance(record_spec, dict) else {}
-            managed.debugger.record(
-                stride=options.get("stride"),
-                max_keyframes=options.get("maxKeyframes"),
-                max_trace=options.get("maxTrace"))
         return {"sessionId": managed.id,
                 "strategy": strategy,
                 "recording": managed.debugger.recording,

@@ -91,7 +91,7 @@ class DebugSession:
         return cls.from_asm(compile_source(c_source, lang=lang), **kwargs)
 
     def run(self, max_instructions: int = 400_000_000,
-            watchdog=None, resume: bool = False) -> int:
+            resume: bool = False) -> int:
         """Run (or resume) the debuggee; safely re-runnable.
 
         A fresh ``run()`` after a previous one — e.g. a rerun after a
@@ -100,10 +100,10 @@ class DebugSession:
         registers, counters, output, monitor state; under a debugger,
         its watchpoints, breakpoints and their logs too), so
         instruction/cycle counters are not double-counted and stale trap
-        state cannot leak into the new run.  A watchdog passed here is
-        re-armed by the CPU relative to the (restored) counters, so each
-        call grants its full budget.  ``resume=True`` before any run is
-        treated as a fresh start.
+        state cannot leak into the new run.  *max_instructions* counts
+        from the (restored) counters, so each call grants its full
+        budget.  ``resume=True`` before any run is treated as a fresh
+        start.
         """
         if resume and not self.started:
             resume = False
@@ -114,7 +114,7 @@ class DebugSession:
                 self.cpu.exit_code = None
             self.mark_started()
         return self.loaded.run(max_instructions=max_instructions,
-                               watchdog=watchdog, resume=resume)
+                               resume=resume)
 
     @property
     def output(self) -> List[str]:
@@ -129,15 +129,14 @@ def run_uninstrumented(asm_source: str,
                        cache_bytes: int = DEFAULT_CACHE_BYTES,
                        record_writes: bool = False,
                        max_instructions: int = 400_000_000,
-                       watchdog=None,
                        on_limit: str = "raise"
                        ) -> Tuple[Optional[int], LoadedProgram]:
     """Assemble and run *asm_source* without any checks (the baseline
     against which Table 1 / Table 2 overheads are computed).
 
-    With ``on_limit="partial"``, a watchdog budget exhaustion returns
-    ``(None, loaded)`` — the partially-run program — instead of raising
-    :class:`~repro.machine.cpu.SimulationLimit`.
+    With ``on_limit="partial"``, running out of *max_instructions*
+    returns ``(None, loaded)`` — the partially-run program — instead of
+    raising :class:`~repro.machine.cpu.SimulationLimit`.
     """
     from repro.machine.cpu import SimulationLimit
 
@@ -145,8 +144,7 @@ def run_uninstrumented(asm_source: str,
     loaded = load_program(program, cache_bytes=cache_bytes, costs=costs,
                           record_writes=record_writes)
     try:
-        exit_code = loaded.run(max_instructions=max_instructions,
-                               watchdog=watchdog)
+        exit_code = loaded.run(max_instructions=max_instructions)
     except SimulationLimit:
         if on_limit != "partial":
             raise

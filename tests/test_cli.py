@@ -15,10 +15,39 @@ int main() {
 """
 
 
+#: tests/test_replay.py's program: six writes to total, one per grid cell
+REPLAY_PROGRAM = """
+int total;
+int grid[8];
+
+int bump(int k) {
+    total = total + k;
+    return total;
+}
+
+int main() {
+    register int i;
+    for (i = 0; i < 6; i = i + 1) {
+        bump(i);
+        grid[i] = total;
+    }
+    print(total);
+    return 0;
+}
+"""
+
+
 @pytest.fixture
 def source_file(tmp_path):
     path = tmp_path / "program.c"
     path.write_text(PROGRAM)
+    return str(path)
+
+
+@pytest.fixture
+def replay_file(tmp_path):
+    path = tmp_path / "replay.c"
+    path.write_text(REPLAY_PROGRAM)
     return str(path)
 
 
@@ -56,6 +85,46 @@ class TestAsmCommand:
         out = capsys.readouterr().out
         assert "__mrs_check_w4" in out
         assert "! check" in out
+
+
+class TestReplayCommand:
+    def test_back_one_walks_exactly_one_hit(self, replay_file, capsys):
+        assert main(["replay", replay_file, "--watch", "total",
+                     "--back", "1"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("-- reverse-continue")]
+        assert lines == ["-- reverse-continue: total = 15 "
+                         "(instruction 652)"]
+
+    def test_last_write_scans_from_the_end_of_the_recording(
+            self, replay_file, capsys):
+        assert main(["replay", replay_file, "--watch", "grid[4]",
+                     "--last-write", "total"]) == 0
+        out = capsys.readouterr().out
+        recorded = int(out.split("-- recorded ")[1].split()[0])
+        answer = [line for line in out.splitlines()
+                  if line.startswith("-- last-write total:")]
+        assert len(answer) == 1 and answer[0].endswith("10 -> 15  [scan]")
+        index = int(answer[0].split("instruction ")[1].split(":")[0])
+        assert 0 < index < recorded
+        assert "at the start of the recording" not in out
+
+    def test_verify_against_a_saved_trace(self, replay_file, tmp_path,
+                                          capsys):
+        saved = tmp_path / "trace.bin"
+        assert main(["record", replay_file, "--watch", "total",
+                     "-o", str(saved)]) == 0
+        assert main(["replay", replay_file, "--watch", "total",
+                     "--back", "0", "--verify", str(saved)]) == 0
+        assert "byte-identical" in capsys.readouterr().out
+
+        data = bytearray(saved.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        flipped = tmp_path / "flipped.bin"
+        flipped.write_bytes(bytes(data))
+        assert main(["replay", replay_file, "--watch", "total",
+                     "--verify", str(flipped)]) == 1
+        assert "DIVERGED" in capsys.readouterr().out
 
 
 class TestEvalCommands:

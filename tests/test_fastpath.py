@@ -19,7 +19,7 @@ from repro.asm.loader import load_program
 from repro.debugger import Debugger
 from repro.isa.instructions import NopInsn
 from repro.machine.costs import DEFAULT_COSTS
-from repro.machine.cpu import SimulationLimit, Watchdog
+from repro.machine.cpu import SimulationLimit
 from repro.minic.codegen import compile_source
 from repro.replay import state_digest
 from repro.workloads import WORKLOADS, workload_source
@@ -92,9 +92,8 @@ class TestWatchdogParity:
             asm = compile_source(workload_source("030.matrix300", 0.1),
                                  lang=spec.lang)
             loaded = load_program(assemble(asm), fast_path=fast)
-            watchdog = Watchdog(max_instructions=3000)
             with pytest.raises(SimulationLimit):
-                loaded.run(watchdog=watchdog)
+                loaded.run(max_instructions=3000)
             results.append(cpu_state(loaded.cpu))
         # the budget boundary is exact: both engines pause after
         # precisely the same retired instruction
@@ -109,7 +108,7 @@ class TestWatchdogParity:
         loaded = load_program(assemble(compile_source(source)),
                               fast_path=fast)
         with pytest.raises(SimulationLimit):
-            loaded.run(watchdog=Watchdog(max_instructions=0))
+            loaded.run(max_instructions=0)
         assert loaded.cpu.instructions == 1
 
     def test_run_steps_chunks_are_exact(self):

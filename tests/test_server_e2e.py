@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import ServerError
 from repro.faults import BITMAP_ALLOC
-from repro.machine.cpu import SimulationLimit, Watchdog
+from repro.machine.cpu import SimulationLimit
 from repro.server import (DebugClient, DebugServer, RemoteError,
                           ServerConfig)
 from repro.server.protocol import decode, encode, read_frame, Request
@@ -269,6 +269,23 @@ class TestResourceManagement:
         assert excinfo.value.context["reason"] == "draining"
         with pytest.raises(ServerError):
             manager.execute("s1", lambda managed: None)
+
+    @pytest.mark.parametrize("record", [{"stride": 0}, {"maxTrace": 0}],
+                             ids=["stride", "maxTrace"])
+    def test_refused_record_spec_frees_its_session_slot(self, record):
+        config = ServerConfig(max_sessions=1)
+        with DebugServer(config=config).start() as server:
+            with client_for(server) as client:
+                client.initialize()
+                for _attempt in range(2):
+                    with pytest.raises(RemoteError) as excinfo:
+                        client.launch(SOURCE, record=record)
+                    assert excinfo.value.remote_error == "ReplayError"
+                assert client.sessions() == []
+                # the one slot is still free for a good launch
+                session_id = client.launch(SOURCE, record=True)
+                assert [s["sessionId"] for s in client.sessions()] == \
+                    [session_id]
 
     def test_disconnecting_client_reaps_its_sessions(self, server):
         client = client_for(server)
@@ -570,8 +587,7 @@ class TestReRunnableSession:
         session = DebugSession.from_minic(SOURCE)
         session.mrs.enable()
         with pytest.raises(SimulationLimit):
-            session.run(watchdog=Watchdog(max_instructions=50,
-                                          snapshot=False))
+            session.run(max_instructions=50)
         # a *fresh* run (server relaunch) rewinds instead of stacking
         assert session.run() == 0
         assert (session.cpu.instructions, list(session.output)) == \
@@ -589,12 +605,12 @@ class TestReRunnableSession:
     def test_resume_semantics_unchanged(self):
         session = DebugSession.from_minic(SOURCE)
         session.mrs.enable()
-        watchdog = Watchdog(max_instructions=60, snapshot=False)
         interruptions = 0
         resume = False
         while True:
             try:
-                assert session.run(watchdog=watchdog, resume=resume) == 0
+                assert session.run(max_instructions=60,
+                                   resume=resume) == 0
                 break
             except SimulationLimit:
                 interruptions += 1

@@ -1,11 +1,15 @@
-"""Watchdog budgets, resumable limits, and graceful eval degradation."""
+"""Instruction budgets, resumable limits, and graceful eval degradation."""
 
 import pytest
 
+from repro.asm.assembler import assemble
+from repro.asm.loader import load_program
+from repro.baselines.trap import TrapBasedDebugger
 from repro.eval.overhead import Partial, WorkloadBench, average, truncated
 from repro.eval.table1 import format_table, measure_workload
-from repro.faults import FaultPlan
-from repro.machine.cpu import SimulationError, SimulationLimit, Watchdog
+from repro.machine.checkpoint import Checkpoint
+from repro.machine.cpu import SimulationError, SimulationLimit
+from repro.minic.codegen import compile_source
 from repro.session import DebugSession
 
 PROGRAM = """
@@ -30,21 +34,34 @@ def _session():
     return session
 
 
+SHORT = "int main() { print(7); return 0; }"
+
+
+def _cpu_run(budget):
+    loaded = load_program(assemble(compile_source(SHORT)))
+    return loaded.run(max_instructions=budget), loaded.cpu
+
+
+def _session_run(budget):
+    session = DebugSession.from_minic(SHORT)
+    return session.run(max_instructions=budget), session.cpu
+
+
+def _trap_run(budget):
+    debugger = TrapBasedDebugger(compile_source(SHORT))
+    return debugger.run(max_instructions=budget), debugger.loaded.cpu
+
+
 class TestBudgets:
     @pytest.mark.parametrize("kwargs,kind", [
         ({"max_instructions": 300}, "instructions"),
-        ({"max_cycles": 400}, "cycles"),
-        ({"max_traps": 2}, "traps"),
     ])
     def test_each_budget_kind_trips_with_context(self, kwargs, kind):
         session = _session()
-        watchdog = Watchdog(mrs=session.mrs, output=session.output,
-                            **kwargs)
         with pytest.raises(SimulationLimit) as excinfo:
-            session.run(watchdog=watchdog)
+            session.run(**kwargs)
         limit = excinfo.value
         assert limit.budget == kind
-        assert limit.checkpoint is not None
         for key in ("pc", "cycles", "instructions", "traps"):
             assert key in limit.context
         # a watchdog limit is a SimulationError, so existing handlers
@@ -57,14 +74,13 @@ class TestBudgets:
 
         session = _session()
         interruptions = 0
-        watchdog = Watchdog(max_instructions=700, snapshot=False)
         resume = False
         while True:
             try:
-                session.run(watchdog=watchdog, resume=resume)
+                session.run(max_instructions=700, resume=resume)
                 break
             except SimulationLimit:
-                # re-arming grants the budget again from the current pc
+                # each run grants the budget again from the current pc
                 interruptions += 1
                 resume = True
                 assert interruptions < 100
@@ -74,11 +90,12 @@ class TestBudgets:
 
     def test_checkpoint_from_limit_restores_the_debuggee(self):
         session = _session()
-        watchdog = Watchdog(max_instructions=900, mrs=session.mrs,
-                            output=session.output)
         with pytest.raises(SimulationLimit) as excinfo:
-            session.run(watchdog=watchdog)
-        snapshot = excinfo.value.checkpoint
+            session.run(max_instructions=900)
+        # the CPU stops on a clean boundary, so a checkpoint taken
+        # after catching the limit captures the state at the limit
+        snapshot = Checkpoint(session.cpu, output=session.output,
+                              mrs=session.mrs)
         # run to completion, then rewind to the limit point and finish
         # again: both continuations must agree exactly
         assert session.run(resume=True) == 0
@@ -90,6 +107,19 @@ class TestBudgets:
         assert session.run(resume=True) == 0
         assert (list(session.output), session.cpu.instructions) == first
 
+    @pytest.mark.parametrize("runner", [_cpu_run, _session_run,
+                                        _trap_run],
+                             ids=["cpu", "session", "trap"])
+    def test_exit_on_the_last_budgeted_instruction_is_not_a_limit(
+            self, runner):
+        _code, cpu = runner(10_000)
+        total = cpu.instructions
+        code, cpu = runner(total)
+        assert (code, cpu.running, cpu.instructions) == (0, False, total)
+        with pytest.raises(SimulationLimit) as excinfo:
+            runner(total - 1)
+        assert excinfo.value.context["instructions"] == total - 1
+
     def test_default_instruction_cap_still_enforced(self):
         session = _session()
         with pytest.raises(SimulationLimit):
@@ -97,12 +127,12 @@ class TestBudgets:
 
 
 class TestEvalDegradation:
-    def test_overhead_becomes_partial_under_cycle_budget(self):
+    def test_overhead_becomes_partial_under_instruction_budget(self):
         probe = WorkloadBench("023.eqntott", scale=0.1)
-        full_cycles = probe.baseline().cycles
+        full_instructions = probe.baseline().instructions
 
-        plan = FaultPlan(max_cycles=full_cycles // 3)
-        bench = WorkloadBench("023.eqntott", scale=0.1, faults=plan)
+        bench = WorkloadBench("023.eqntott", scale=0.1,
+                              max_instructions=full_instructions // 3)
         overhead = bench.overhead("Bitmap", enabled=True)
         assert isinstance(overhead, Partial)
         assert truncated(overhead)
@@ -122,9 +152,9 @@ class TestEvalDegradation:
         assert average([1.0, Partial(3.0)]) == 2.0
 
     def test_table1_row_truncates_instead_of_raising(self):
-        plan = FaultPlan(max_cycles=2_000)
         row = measure_workload("023.eqntott", scale=0.1,
-                               columns=["Disabled", "Bitmap"], faults=plan)
+                               columns=["Disabled", "Bitmap"],
+                               max_instructions=2_000)
         assert all(truncated(value) for value in row.values())
 
     def test_format_table_flags_truncated_cells(self):
