@@ -53,6 +53,9 @@ _RET_REG = ("r", _IN_REG_BASE)
 #: alu ops through which a pointer keeps its object identity
 _PTR_PRESERVING = ("add", "sub", "or")
 
+#: rounds over every function before :meth:`PointsTo.run` gives up
+MAX_ITERATIONS = 64
+
 
 def is_label(atom) -> bool:
     return atom[0] == "label"
@@ -283,8 +286,8 @@ class PointsTo:
 
     # -- driver ------------------------------------------------------------
 
-    def run(self, max_iterations: int = 64) -> None:
-        for _ in range(max_iterations):
+    def run(self) -> None:
+        for _ in range(MAX_ITERATIONS):
             self._changed = False
             for func in self.funcs:
                 info = self.ssa_by_func.get(func.name)

@@ -39,6 +39,8 @@ TOP = None
 
 #: joins before a growing bound is widened to infinity
 _WIDEN_AFTER = 3
+#: rounds over every function before :meth:`RangeAnalysis.run` gives up
+MAX_ITERATIONS = 64
 
 
 def _as_signed(value: int) -> int:
@@ -323,8 +325,8 @@ class RangeAnalysis:
 
     # -- driver ------------------------------------------------------------
 
-    def run(self, max_iterations: int = 64) -> None:
-        for _ in range(max_iterations):
+    def run(self) -> None:
+        for _ in range(MAX_ITERATIONS):
             self._changed = False
             for func in self.funcs:
                 info = self.ssa_by_func.get(func.name)

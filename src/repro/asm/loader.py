@@ -1,7 +1,8 @@
 """Loader: assembled program -> ready-to-run CPU.
 
 Sets up code space, data image, stack pointer, the startup stub
-(``call main; nop; ta TRAP_EXIT``) and the default trap handlers.
+(``call main; nop; ta TRAP_EXIT``) and the default trap handlers, and
+leaves the CPU at the stub: the first run starts the program.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.machine.costs import CostModel, DEFAULT_COSTS
 from repro.machine.cpu import CPU, CodeSpace
 from repro.machine.memory import Memory
 from repro.machine.state import ProgramImage
-from repro.machine.traps import TRAP_EXIT, install_default_handlers
+from repro.machine.traps import TRAP_EXIT, install_host_handlers
 
 DEFAULT_STACK_TOP = 0x7F00C000
 DEFAULT_HEAP_BASE = 0x20008000
@@ -32,21 +33,16 @@ class LoadedProgram:
         self.output = output
         self.entry = entry
 
-    def run(self, max_instructions: int = 400_000_000,
-            resume: bool = False) -> int:
-        """Run from the entry stub; with ``resume=True``, continue from
-        the current pc instead (e.g. after a
-        :class:`~repro.machine.cpu.SimulationLimit`)."""
-        return self.cpu.run(start=None if resume else self.entry,
-                            max_instructions=max_instructions)
+    def run(self, max_instructions: int = 400_000_000) -> int:
+        """Run on from where the program stands until it exits; see
+        :meth:`CPU.run <repro.machine.cpu.CPU.run>`."""
+        return self.cpu.run(max_instructions=max_instructions)
+
 
 def load_program(program: Program,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
                  costs: CostModel = DEFAULT_COSTS,
-                 stack_top: int = DEFAULT_STACK_TOP,
-                 heap_base: int = DEFAULT_HEAP_BASE,
                  record_writes: bool = False,
-                 entry_name: str = "main",
                  fast_path: bool = True) -> LoadedProgram:
     """Instantiate a CPU running *program*, stopped at the startup stub.
 
@@ -56,9 +52,9 @@ def load_program(program: Program,
     code = CodeSpace(base=program.text_base)
     code.insns.extend(program.insns)
 
-    if entry_name not in program.labels:
-        raise ValueError("program has no %r entry point" % entry_name)
-    main_addr = program.labels[entry_name]
+    if "main" not in program.labels:
+        raise ValueError("program has no 'main' entry point")
+    main_addr = program.labels["main"]
 
     stub = [CallInsn(main_addr), NopInsn(), TrapInsn(TRAP_EXIT)]
     for insn in stub:
@@ -66,18 +62,20 @@ def load_program(program: Program,
     entry = code.append_block(stub)
     code.image = ProgramImage(code.base, code.insns)
 
-    memory = Memory(heap_base=heap_base)
+    memory = Memory(heap_base=DEFAULT_HEAP_BASE)
     for addr, value in program.data_words:
         memory.write_word(addr, value)
-    if program.data_end > heap_base:
+    if program.data_end > DEFAULT_HEAP_BASE:
         raise ValueError("data section overflows into the heap")
 
     cpu = CPU(code, memory=memory, cache=DirectMappedCache(cache_bytes),
               costs=costs, fast_path=fast_path)
     cpu.record_writes = record_writes
-    cpu.regs.write(SP, stack_top - 96)
-    cpu.regs.write(FP, stack_top)
-    output = install_default_handlers(cpu)
+    cpu.pc = entry
+    cpu.npc = entry + 4
+    cpu.regs.write(SP, DEFAULT_STACK_TOP - 96)
+    cpu.regs.write(FP, DEFAULT_STACK_TOP)
+    output = install_host_handlers(cpu)
     return LoadedProgram(cpu, program, output, entry)
 
 

@@ -4,17 +4,18 @@ Commercial processors watch a handful of words with dedicated hardware:
 the i386 four, the MIPS R4000 and the SPARC one.  Watching is free at
 runtime, but "the hardware approach inherently limits the number of
 data words simultaneously monitored" — which is exactly the failure
-mode this model exhibits.
+mode this model exhibits.  It adds only that limit to the shared
+:class:`~repro.baselines.watcher.StoreWatcher`, and charges nothing.
 """
 
 from __future__ import annotations
 
-from repro.errors import ReproError
-
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.asm.loader import LoadedProgram
+from repro.baselines.watcher import StoreWatcher
 from repro.core.regions import MonitoredRegion
+from repro.errors import ReproError
 
 #: §1 capacities
 CAPACITIES = {"i386": 4, "R4000": 1, "SPARC": 1}
@@ -25,7 +26,7 @@ class WatchpointCapacityError(ReproError):
     provides — the §1 argument against hardware-only data breakpoints."""
 
 
-class HardwareWatchpoints:
+class HardwareWatchpoints(StoreWatcher):
     """Capacity-limited, zero-overhead watchpoints."""
 
     def __init__(self, loaded: LoadedProgram, processor: str = "SPARC",
@@ -34,41 +35,18 @@ class HardwareWatchpoints:
             if processor not in CAPACITIES:
                 raise ValueError("unknown processor %r" % processor)
             capacity = CAPACITIES[processor]
+        super().__init__(loaded)
         self.processor = processor
         self.capacity = capacity
-        self.loaded = loaded
-        self.regions: List[MonitoredRegion] = []
-        self.hits: List[tuple] = []
-        self.callbacks: List[Callable[[int, int, bool], None]] = []
-        self._install()
-
-    def _install(self) -> None:
-        mem = self.loaded.cpu.mem
-
-        def handler(addr: int, size: int) -> None:
-            for region in self.regions:
-                if addr < region.end and region.start < addr + size:
-                    self.hits.append((addr, size, False))
-                    for callback in self.callbacks:
-                        callback(addr, size, False)
-                    return
-
-        mem.fault_handler = handler
-
-    def words_in_use(self) -> int:
-        return sum(region.size // 4 for region in self.regions)
 
     def watch(self, start: int, size: int) -> MonitoredRegion:
-        region = MonitoredRegion(start, size)
-        needed = self.words_in_use() + region.size // 4
+        needed = size // 4 + sum(region.size // 4
+                                 for region in self.regions)
         if needed > self.capacity:
             raise WatchpointCapacityError(
                 "%s hardware watches %d word(s); request needs %d"
                 % (self.processor, self.capacity, needed))
-        self.regions.append(region)
-        # zero-overhead detection: hardware match, no cycle charge
-        self.loaded.cpu.mem.protect_range(region.start, region.size)
-        return region
+        return super().watch(start, size)
 
     def unwatch(self, region: MonitoredRegion) -> None:
         self.regions.remove(region)

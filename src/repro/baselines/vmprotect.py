@@ -9,50 +9,47 @@ is actually monitored, unprotects the page, single-steps the write and
 reprotects — two traps and two context switches per faulting write.
 Writes to *unmonitored* data that merely shares a page with a monitored
 region pay the same cost (false faults), which is what makes this
-approach slow for hot pages.
+approach slow for hot pages.  The model adds its protected pages to
+the shared :class:`~repro.baselines.watcher.StoreWatcher`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Set
 
 from repro.asm.assembler import assemble
 from repro.asm.loader import load_program
-from repro.core.regions import MonitoredRegion, RegionSet
+from repro.baselines.watcher import StoreWatcher
+from repro.core.regions import MonitoredRegion
 
 #: cycles per protection fault (fault + context switches + restep)
 DEFAULT_FAULT_COST = 4_000
+#: protection granularity: SunOS used 4 KB pages
+PAGE_SHIFT = 12
 
 
-class PageProtectionDebugger:
+class PageProtectionDebugger(StoreWatcher):
     """Data breakpoints via page protection."""
 
     def __init__(self, asm_source: str,
                  fault_cost: int = DEFAULT_FAULT_COST):
-        program = assemble(asm_source)
-        self.loaded = load_program(program)
+        super().__init__(load_program(assemble(asm_source)))
         self.fault_cost = fault_cost
-        self.regions = RegionSet()
-        self.hits: List[Tuple[int, int, bool]] = []
+        #: protected page numbers
+        self.pages: Set[int] = set()
         self.false_faults = 0
-        self.callbacks: List[Callable[[int, int, bool], None]] = []
-        self.loaded.cpu.mem.fault_handler = self._on_fault
-
-    def _on_fault(self, addr: int, size: int) -> None:
-        cpu = self.loaded.cpu
-        cpu.charge(self.fault_cost)
-        if self.regions.hit(addr, size):
-            self.hits.append((addr, size, False))
-            for callback in self.callbacks:
-                callback(addr, size, False)
-        else:
-            self.false_faults += 1
 
     def watch(self, start: int, size: int) -> MonitoredRegion:
-        region = MonitoredRegion(start, size)
-        self.regions.add(region)
-        self.loaded.cpu.mem.protect_range(start, size)
+        region = super().watch(start, size)
+        self.pages.update(range(start >> PAGE_SHIFT,
+                                (start + size - 1 >> PAGE_SHIFT) + 1))
         return region
 
-    def run(self, max_instructions: int = 400_000_000) -> int:
-        return self.loaded.run(max_instructions=max_instructions)
+    def on_store(self, addr: int, width: int) -> bool:
+        if addr >> PAGE_SHIFT not in self.pages:
+            return False
+        self.loaded.cpu.charge(self.fault_cost)
+        hit = super().on_store(addr, width)
+        if not hit:
+            self.false_faults += 1
+        return hit

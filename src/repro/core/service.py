@@ -28,7 +28,7 @@ before any mutation (overlap, alignment, unknown region) still raise
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.asm.loader import LoadedProgram
 from repro.core.bitmap import SegmentedBitmap
@@ -82,8 +82,6 @@ class MonitoredRegionService:
         #: every (addr, size, is_read) notification, in order
         self.hits: List[Tuple[int, int, bool]] = []
         self.callbacks: List[NotificationCallBack] = []
-        #: per-loop count of pre-header check hits
-        self.preheader_hits: Dict[int, int] = {}
         self.enabled = False
         #: serialises the public entry points: the region set, bitmap,
         #: superpage counts and patch table are shared mutable state, so
@@ -126,8 +124,6 @@ class MonitoredRegionService:
         monitored region, so re-insert the eliminated in-loop checks."""
         loop_id = cpu.regs.read(_G6)
         with self._lock:
-            self.preheader_hits[loop_id] = \
-                self.preheader_hits.get(loop_id, 0) + 1
             for site in self.inst.plan.loop_sites.get(loop_id, ()):
                 # idempotent: the pre-header fires once per loop entry but
                 # the site needs only one "loop" activation

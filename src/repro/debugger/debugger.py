@@ -643,16 +643,15 @@ class Debugger:
     def _step_raw(self, count: int = 1) -> str:
         """Execute up to *count* instructions with no recording
         bookkeeping: the primitive under :meth:`step` and the
-        recorder's chunks, and the only code that starts the program.
-        Once the program has exited it executes nothing."""
+        recorder's chunks.  Its first call fixes the snapshot a fresh
+        :meth:`DebugSession.run <repro.session.DebugSession.run>`
+        rewinds to.  Once the program has exited it executes nothing."""
         self.stop_reason = None
         self.stopped_watch = None
         cpu = self.cpu
         if cpu.running or cpu.exit_code is None:
             if not self._started:
                 self._started = True
-                cpu.pc = self.session.loaded.entry
-                cpu.npc = cpu.pc + 4
                 if not self.session.started:
                     # a fresh DebugSession.run() rewinds the whole
                     # debugger, watch state included, to this snapshot

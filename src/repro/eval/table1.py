@@ -92,7 +92,7 @@ def format_table(results: Dict[str, Dict[str, float]],
                       for c in columns]
             lines.append("".join(cells))
     if any_truncated:
-        lines.append("* = run truncated by a watchdog budget; "
+        lines.append("* = run truncated by its instruction budget; "
                      "overhead covers only the executed prefix")
     return "\n".join(lines)
 

@@ -115,9 +115,8 @@ class IrOp:
         return "<%s %s := %s>" % (head, defs or "-", uses)
 
 
-def walk_to_def(value: Value, *, through_asserts: bool = True,
-                through_moves: bool = True) -> Value:
-    """Follow move (and optionally assert) chains to an underlying value.
+def walk_to_def(value: Value) -> Value:
+    """Follow move and assert chains to an underlying value.
 
     Asserts preserve the value of their operand; moves copy it.  This is
     the "seeing through" used by monotonic-variable detection.
@@ -128,10 +127,10 @@ def walk_to_def(value: Value, *, through_asserts: bool = True,
             break
         seen.add(id(value))
         op = value.def_op
-        if through_moves and op.kind == "move":
+        if op.kind == "move":
             value = op.uses[0]
             continue
-        if through_asserts and op.kind == "assert":
+        if op.kind == "assert":
             # an assert redefines both operands; find which one we are
             position = op.defs.index(value)
             value = op.uses[position]

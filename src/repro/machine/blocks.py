@@ -43,10 +43,10 @@ The fast path is *selective* and *exact*:
 * Blocks end at anything that must stay on the exact slow path: ``ta``
   traps (monitor hits, syscalls, breakpoints), tag changes (so per-tag
   accounting stays trivially exact), code holes, and unfusable delay
-  slots.  The CPU additionally refuses the fast path while a
-  page-protection fault handler is armed (the vmprotect baseline traps
-  on stores), and when a delayed control transfer is pending
-  (``npc != pc + 4``).
+  slots.  The CPU additionally refuses the fast path while its store
+  hook is armed (the §1 debugger models and the last-write scan see
+  every store through it), and when a delayed control transfer is
+  pending (``npc != pc + 4``).
 * A block never retires past an instruction budget: callers guard with
   :attr:`BasicBlock.max_retire`, dropping to single stepping near
   keyframe strides and budget boundaries.

@@ -127,7 +127,6 @@ def _snapshot_mrs(mrs) -> Dict:
     return {
         "regions": [region.key() for region in mrs.regions],
         "hits": list(mrs.hits),
-        "preheader_hits": list(mrs.preheader_hits.items()),
         "active_reasons": [(site, list(reasons.items()))
                            for site, reasons in mrs.patches.reasons.items()],
         "segments": list(bitmap._segments.items()),
@@ -147,7 +146,6 @@ def _restore_mrs(mrs, state: Dict) -> None:
         regions.add(MonitoredRegion(start, size))
     mrs.regions = regions
     mrs.hits = list(state["hits"])
-    mrs.preheader_hits = dict(state["preheader_hits"])
     mrs.patches.reasons = {site: dict(reasons)
                            for site, reasons in state["active_reasons"]}
     bitmap = mrs.bitmap

@@ -6,6 +6,10 @@ objects held in a :class:`CodeSpace`.  Instruction fetch and data access
 both go through a direct-mapped combined cache, so instrumentation-induced
 code growth shows up as cache misses — the effect §3.3.1 of the paper
 measures with its nop-insertion experiment.
+
+Every run continues from where the CPU stands through one dispatch
+loop, :meth:`CPU._run_until`.  Stores are watched from outside the
+program through one hook, :attr:`CPU.store_hook`.
 """
 
 from __future__ import annotations
@@ -139,6 +143,10 @@ class CPU:
         self.tag_cycles: Dict[str, int] = {}
         self.tag_counts: Dict[str, int] = {}
         self.trap_handlers: Dict[int, Callable[["CPU"], None]] = {}
+        #: called as ``store_hook(addr, width)`` before every store lands,
+        #: while :attr:`pc` and :attr:`instructions` still name it; the
+        #: §1 debugger models and the last-write scan set it
+        self.store_hook: Optional[Callable[[int, int], None]] = None
         #: when set, ``(site, addr, width)`` per original-program store.
         self.record_writes = False
         self.write_trace: List[Tuple[Optional[int], int, int]] = []
@@ -190,9 +198,8 @@ class CPU:
         self.cycles += self.costs.store_extra
         if not self.cache.access(addr):
             self.cycles += self.costs.dmiss_penalty
-        mem = self.mem
-        if mem.fault_handler is not None and mem.is_protected(addr):
-            mem.fault_handler(addr, width)
+        if self.store_hook is not None:
+            self.store_hook(addr, width)
         if self.record_writes and insn.tag == "orig":
             self.write_trace.append((insn.site, addr, width))
 
@@ -261,9 +268,9 @@ class CPU:
             self.pc = self.npc
             self.npc += 4
 
-    def run(self, start: Optional[int] = None,
-            max_instructions: int = 400_000_000) -> int:
-        """Run until the program exits; return the exit code.
+    def run(self, max_instructions: int = 400_000_000) -> int:
+        """Run from the current pc until the program exits; return the
+        exit code.  A program that has exited executes nothing.
 
         Raises a resumable :class:`SimulationLimit` when
         *max_instructions* have retired with the program still live;
@@ -271,10 +278,6 @@ class CPU:
         checked after a retire, so even an empty one retires an
         instruction (a zero quota still progresses).
         """
-        if start is not None:
-            self.pc = start
-            self.npc = start + 4
-        self.running = True
         self._run_until(self.instructions + max(1, max_instructions))
         if self.running:
             raise SimulationLimit.at(self, max_instructions)
@@ -290,15 +293,18 @@ class CPU:
         the final instruction boundary is bit-exact with *count* calls
         to :meth:`step`.
         """
-        self.running = True
         self._run_until(self.instructions + count)
 
     def _run_until(self, limit) -> None:
         """Run until the program stops or *limit* instructions have
-        retired.  On the fast path this is the block-dispatch loop:
-        compiled blocks where possible, exact single steps everywhere
-        else (armed fault handlers, pending delayed branches, blocks
-        that could retire past *limit*, trap sites)."""
+        retired; a program that has exited executes nothing.  On the
+        fast path this is the block-dispatch loop: compiled blocks
+        where possible, exact single steps everywhere else (an armed
+        store hook, pending delayed branches, blocks that could retire
+        past *limit*, trap sites)."""
+        if self.exit_code is not None:
+            return
+        self.running = True
         step = self.step
         if not self.fast_path:
             while self.running and self.instructions < limit:
@@ -309,9 +315,8 @@ class CPU:
         cache_get = cache.get
         lookup = blocks.lookup
         code = self.code
-        mem = self.mem
         while self.running and self.instructions < limit:
-            if self.npc == self.pc + 4 and mem.fault_handler is None:
+            if self.npc == self.pc + 4 and self.store_hook is None:
                 if blocks.version != code.version:
                     cache.clear()
                     blocks.version = code.version

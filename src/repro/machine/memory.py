@@ -1,28 +1,24 @@
-"""Sparse word-addressed data memory with optional page protection.
+"""Sparse word-addressed data memory.
 
 Memory is a dictionary from word index to 32-bit value; untouched words
 read as zero.  This makes multi-megabyte sparse structures (the segment
 table of the monitored region service spans 32 MB of address space) free
 until touched, exactly like lazily allocated pages.
 
-Page protection supports the VAX DEBUG baseline (:mod:`repro.baselines.
-vmprotect`): writes to a protected page invoke a fault handler before the
-write is performed.  The time-travel last-write scan (:mod:`repro.replay.
-controller`) uses the same hook to see a region's stores as they happen.
+Memory is storage only.  Code that watches stores from outside the
+program (the §1 debugger models, the time-travel last-write scan) does
+so through the CPU's one store hook, :attr:`repro.machine.cpu.CPU.
+store_hook`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Dict, Iterable
 
 from repro.errors import ReproError
 from repro.faults import MEMORY_WRITE
 
 WORD_MASK = 0xFFFFFFFF
-
-#: Page size used for protection granularity (SunOS used 4 KB pages).
-PAGE_SIZE = 4096
-PAGE_SHIFT = 12
 
 
 class MemoryFault(ReproError):
@@ -32,17 +28,10 @@ class MemoryFault(ReproError):
 class Memory:
     """Sparse 32-bit byte-addressable memory (word-granular storage)."""
 
-    __slots__ = ("words", "protected_pages", "fault_handler", "brk",
-                 "faults")
+    __slots__ = ("words", "brk", "faults")
 
     def __init__(self, heap_base: int = 0x20008000):
         self.words: Dict[int, int] = {}
-        self.protected_pages: Set[int] = set()
-        #: called as ``fault_handler(addr, size)`` before a write to a
-        #: protected page, while ``cpu.pc`` and ``cpu.instructions``
-        #: still name the store; installed by the vmprotect and hardware
-        #: baselines, and by the last-write scan while it re-executes.
-        self.fault_handler: Optional[Callable[[int, int], None]] = None
         #: program break for the ``sbrk`` trap.
         self.brk = heap_base
         #: optional :class:`repro.faults.FaultPlan`; when armed, every
@@ -110,16 +99,3 @@ class Memory:
         old = self.brk
         self.brk = (self.brk + size + 7) & ~7
         return old
-
-    # -- protection ------------------------------------------------------
-
-    def protect_range(self, addr: int, size: int) -> None:
-        for page in range(addr >> PAGE_SHIFT, (addr + size - 1 >> PAGE_SHIFT)
-                          + 1):
-            self.protected_pages.add(page)
-
-    def unprotect_all(self) -> None:
-        self.protected_pages.clear()
-
-    def is_protected(self, addr: int) -> bool:
-        return (addr >> PAGE_SHIFT) in self.protected_pages

@@ -64,7 +64,7 @@ __all__ = ["VERSION", "ProgramImage", "encode_insn",
            "state_image", "memory_bytes", "patch_bytes"]
 
 #: encoding generation of instructions, images and states
-VERSION = 1
+VERSION = 2
 #: a cache line holding no tag
 _EMPTY_LINE = 0xFFFFFFFF
 
@@ -511,12 +511,11 @@ def _region(value) -> bool:
         and value[1] > 0 and not value[1] & 3
 
 
-#: MRS tables map segments, pages, loops and sites to counts or
+#: MRS tables map segments, pages and sites to counts or
 #: addresses: never negative
 _PAIRS = _list(_row(_count, _count))
 _MRS_SCHEMA = _record(
     regions=_list(_region), hits=_list(_row(_word_value, _count, _flag)),
-    preheader_hits=_PAIRS,
     active_reasons=_list(_row(_count, _list(_row(_text, _count)))),
     segments=_PAIRS, word_counts=_PAIRS, region_counts=_PAIRS,
     arena_next=_word_value, superpages=_PAIRS, enabled=_flag)

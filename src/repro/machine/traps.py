@@ -10,7 +10,7 @@ indirect jump or a ``%fp`` definition fails validation, §4.2).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ReproError
 from repro.isa.instructions import to_signed
@@ -32,11 +32,9 @@ class DebuggeeFault(ReproError):
     """Raised when MRS verification code detects control-flow corruption."""
 
 
-def install_default_handlers(cpu: CPU,
-                             output: Optional[List[str]] = None
-                             ) -> List[str]:
+def install_host_handlers(cpu: CPU) -> List[str]:
     """Install exit / print / sbrk handlers; returns the output list."""
-    sink: List[str] = output if output is not None else []
+    sink: List[str] = []
 
     def handle_exit(c: CPU) -> None:
         c.stop(to_signed(c.regs.read(8)))  # %o0

@@ -42,11 +42,9 @@ Bounds = Tuple[int, int]
 class BoundTable:
     """Per-loop bounds for SSA variables (values default per §4.3.2)."""
 
-    def __init__(self, loop: Loop, monotonic: Dict[int, MonotonicVar],
-                 optimistic_loads: bool = True):
+    def __init__(self, loop: Loop, monotonic: Dict[int, MonotonicVar]):
         self.loop = loop
         self.monotonic = monotonic
-        self.optimistic_loads = optimistic_loads
         self._table: Dict[int, Bounds] = {}
 
     def initial(self, value) -> Bounds:
@@ -156,7 +154,7 @@ def _transfer(op: IrOp, table: BoundTable) -> List[Tuple[SsaVar, Bounds]]:
         return results
     if op.kind == "ld":
         dest = op.defs[0]
-        if isinstance(dest, SsaVar) and table.optimistic_loads:
+        if isinstance(dest, SsaVar):
             parts = [p for p in (op.mem[0], op.mem[1]) if p is not None]
             if all(is_invariant(p, table.loop) or
                    not isinstance(p, SsaVar) for p in parts):
@@ -170,10 +168,9 @@ def _same(value, other) -> bool:
 
 
 def propagate_bounds(loop: Loop, blocks: List[Block],
-                     monotonic: Dict[int, MonotonicVar],
-                     optimistic_loads: bool = True) -> BoundTable:
+                     monotonic: Dict[int, MonotonicVar]) -> BoundTable:
     """Run Figure 4 to a fixed point over the ops of *loop*."""
-    table = BoundTable(loop, monotonic, optimistic_loads)
+    table = BoundTable(loop, monotonic)
 
     ops: List[IrOp] = []
     uses_of: Dict[int, List[IrOp]] = {}

@@ -42,7 +42,6 @@ class LoopOptimizer:
     def __init__(self, func: FuncIr, ssa: SsaInfo,
                  layout: MonitorLayout, plan: OptimizationPlan,
                  statements, next_loop_id: int,
-                 optimistic_loads: bool = True,
                  guard_aliases: bool = False,
                  guard_overflow: bool = False):
         self.func = func
@@ -51,7 +50,6 @@ class LoopOptimizer:
         self.plan = plan
         self.statements = statements
         self.next_loop_id = next_loop_id
-        self.optimistic_loads = optimistic_loads
         #: §4.5 alias safety: refuse an optimization whose pre-header
         #: code re-reads memory that a store in the loop might alias.
         #: The paper's measured configuration ran without this ("does
@@ -79,8 +77,7 @@ class LoopOptimizer:
         if preheader_block is None:
             return
         monotonic = find_monotonic_vars(loop)
-        table = propagate_bounds(loop, self.ssa.order, monotonic,
-                                 self.optimistic_loads)
+        table = propagate_bounds(loop, self.ssa.order, monotonic)
         has_unknown_store = self._loop_has_unknown_store(loop)
         loop_id = None
         li_lines: List[str] = []
@@ -347,15 +344,13 @@ class LoopOptimizer:
     def _usable_bound(self, value, loop: Loop) -> bool:
         """Can *value* serve as a pre-header-evaluable bound?
 
-        Invariant values always can.  In the paper's optimistic
+        Invariant values always can.  As in the paper's optimistic
         configuration, a value loaded from an invariant address inside
         the loop also can (re-reading it in the pre-header assumes the
         loop does not alias it — the §4.5 alias list records the slot).
         """
         if is_invariant(value, loop):
             return True
-        if not self.optimistic_loads:
-            return False
         base = walk_to_def(value)
         if not isinstance(base, SsaVar) or base.def_op is None:
             return False

@@ -40,7 +40,6 @@ VALID_MODES = ("sym", "full", "ipa")
 
 def build_plan(statements_or_source, mode: str = "full",
                layout: Optional[MonitorLayout] = None,
-               optimistic_loads: bool = True,
                guard_aliases: bool = False,
                guard_overflow: bool = False,
                faults: Optional[FaultPlan] = None
@@ -119,8 +118,7 @@ def build_plan(statements_or_source, mode: str = "full",
             loops = find_loops(func, ssa.order)
             optimizer = LoopOptimizer(func, ssa, layout, plan,
                                       statements, next_loop_id,
-                                      optimistic_loads, guard_aliases,
-                                      guard_overflow)
+                                      guard_aliases, guard_overflow)
             next_loop_id = optimizer.optimize(loops)
         for loop_id, sites in plan.loop_sites.items():
             for site in sites:

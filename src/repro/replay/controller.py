@@ -24,12 +24,11 @@ keyframe restore), so it stops exactly where the live engine fired.
   present and re-executes the user's own recorded timeline, newest
   keyframe segment first, by the same verified replay travel uses.  It
   arms no watchpoint and leaves the monitor set alone; it observes the
-  region's original (``orig``) stores through the memory's store hook
-  (:attr:`Memory.fault_handler <repro.machine.memory.Memory.
-  fault_handler>`), which runs before the store lands, so an answer
-  names the store's own pc and instruction index.  The first segment
-  holding such a store answers, and the present is then restored
-  bit-exactly.
+  region's original (``orig``) stores through the CPU's store hook
+  (:attr:`CPU.store_hook <repro.machine.cpu.CPU.store_hook>`), which
+  runs before the store lands, so an answer names the store's own pc
+  and instruction index.  The first segment holding such a store
+  answers, and the present is then restored bit-exactly.
 """
 
 from __future__ import annotations
@@ -221,10 +220,9 @@ class ReplayController:
         saved = debugger.checkpoint()
         saved_mode, saved_cursor = recorder.mode, recorder._cursor
         saved_stop = (debugger.stop_reason, debugger.stopped_watch)
-        saved_hook = (mem.fault_handler, set(mem.protected_pages))
+        saved_hook = cpu.store_hook
         end = cpu.instructions
-        mem.fault_handler = on_store
-        mem.protect_range(start, size)
+        cpu.store_hook = on_store
         try:
             for keyframe in reversed(recorder.keyframes):
                 if keyframe.index >= end:
@@ -251,7 +249,7 @@ class ReplayController:
                     target=end - 1)
             return None
         finally:
-            mem.fault_handler, mem.protected_pages = saved_hook
+            cpu.store_hook = saved_hook
             debugger.restore(saved, discard_recording=False)
             recorder.mode, recorder._cursor = saved_mode, saved_cursor
             debugger.stop_reason, debugger.stopped_watch = saved_stop

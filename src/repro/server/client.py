@@ -108,7 +108,6 @@ class DebugClient:
                  retries: int = 4,
                  backoff: float = 0.05,
                  backoff_max: float = 2.0,
-                 reconnect: bool = True,
                  heartbeat: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  backoff_seed: Optional[int] = None):
@@ -119,7 +118,6 @@ class DebugClient:
         self.retries = max(0, retries)
         self.backoff = backoff
         self.backoff_max = backoff_max
-        self.auto_reconnect = reconnect
         self.heartbeat = heartbeat
         self.fault_plan = fault_plan
         self._rng = random.Random(backoff_seed)
@@ -285,7 +283,7 @@ class DebugClient:
                 time.sleep(self._backoff_delay(attempt))
                 continue
             except ClientClosed:
-                if self._user_closed or not self.auto_reconnect:
+                if self._user_closed:
                     raise
                 if sent and not idempotent:
                     raise  # outcome unknown: never re-run a mutation

@@ -113,8 +113,7 @@ class DebugSession:
                 self.cpu.running = False
                 self.cpu.exit_code = None
             self.mark_started()
-        return self.loaded.run(max_instructions=max_instructions,
-                               resume=resume)
+        return self.loaded.run(max_instructions=max_instructions)
 
     @property
     def output(self) -> List[str]:

@@ -71,6 +71,20 @@ class TestLayout:
         loaded = load_program(program)
         assert loaded.cpu.mem.read_word(program.labels["counter"]) == 41
 
+    def test_loaded_cpu_stands_at_the_entry_stub(self):
+        loaded = load_program(assemble(SIMPLE))
+        assert loaded.cpu.pc == loaded.entry
+        assert loaded.cpu.npc == loaded.entry + 4
+
+    def test_run_after_exit_executes_nothing(self):
+        loaded = load_program(assemble(SIMPLE))
+        assert loaded.run() == 42
+        instructions = loaded.cpu.instructions
+        # not a restart on the used memory (counter is 42 now)
+        assert loaded.run() == 42
+        loaded.cpu.run_steps(5)
+        assert loaded.cpu.instructions == instructions
+
 
 class TestBranches:
     def test_forward_and_backward_targets(self):

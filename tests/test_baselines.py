@@ -7,8 +7,10 @@ from repro.asm.loader import load_program
 from repro.baselines.hardware import (HardwareWatchpoints,
                                       WatchpointCapacityError)
 from repro.baselines.hashtable import HashTableMrs, HashTableStrategy
-from repro.baselines.trap import TrapBasedDebugger
+from repro.baselines.trap import DEFAULT_TRAP_COST, TrapBasedDebugger
 from repro.baselines.vmprotect import PageProtectionDebugger
+from repro.core.regions import RegionError
+from repro.machine.cpu import SimulationLimit
 from repro.minic.codegen import compile_source
 from repro.session import DebugSession, run_uninstrumented
 
@@ -25,6 +27,12 @@ int main() {
     return 0;
 }
 """
+
+
+#: prints 1 on its first run; a restart on used memory would print 2
+BUMP = "int g; int main() { g = g + 1; print(g); return 0; }"
+LOOP = ("int g; int main() { int i; "
+        "for (i = 0; i < 100; i = i + 1) { g = g + i; } return 0; }")
 
 
 def asm_and_baseline():
@@ -57,6 +65,48 @@ class TestTrapBaseline:
         debugger = TrapBasedDebugger(asm)
         debugger.run()
         assert debugger.overhead_factor(base.cpu.cycles) > 10_000
+
+
+class TestReruns:
+    """A second run continues the program, so after its exit it
+    executes nothing, and a run cut by its budget resumes."""
+
+    def test_trap_rerun_after_exit(self):
+        debugger = TrapBasedDebugger(compile_source(BUMP))
+        assert debugger.run() == 0
+        cycles = debugger.loaded.cpu.cycles
+        assert debugger.run() == 0
+        assert debugger.loaded.output == ["1"]
+        assert debugger.loaded.cpu.instructions == 23
+        assert debugger.loaded.cpu.cycles == cycles
+
+    def test_trap_run_cut_by_its_budget_resumes(self):
+        asm = compile_source(LOOP)
+        whole = TrapBasedDebugger(asm)
+        whole.run()
+        cut = TrapBasedDebugger(asm)
+        with pytest.raises(SimulationLimit) as info:
+            cut.run(max_instructions=50)
+        # the limit reports the cycles with the traps charged
+        assert info.value.context["instructions"] == 50
+        assert info.value.context["cycles"] == cut.loaded.cpu.cycles
+        assert cut.loaded.cpu.cycles > 50 * DEFAULT_TRAP_COST
+        cut.run()
+        assert cut.loaded.cpu.instructions == \
+            whole.loaded.cpu.instructions == 1716
+        assert cut.loaded.cpu.cycles == whole.loaded.cpu.cycles
+
+    def test_vmprotect_rerun_after_exit(self):
+        debugger = PageProtectionDebugger(compile_source(BUMP))
+        target = debugger.loaded.program.symtab.lookup("g")
+        debugger.watch(target.address, 4)
+        debugger.run()
+        first = (list(debugger.hits), debugger.false_faults,
+                 debugger.loaded.cpu.cycles)
+        assert len(first[0]) == 1
+        assert debugger.run() == 0
+        assert (debugger.hits, debugger.false_faults,
+                debugger.loaded.cpu.cycles) == first
 
 
 class TestVmProtect:
@@ -116,6 +166,14 @@ class TestHardware:
             hardware.watch(target.address + 4 * k, 4)
         with pytest.raises(WatchpointCapacityError):
             hardware.watch(target.address + 16, 4)
+
+    def test_overlapping_watch_refused(self):
+        loaded = self._loaded()
+        hardware = HardwareWatchpoints(loaded, "i386")
+        target = loaded.program.symtab.lookup("data")
+        hardware.watch(target.address, 8)
+        with pytest.raises(RegionError):
+            hardware.watch(target.address + 4, 4)
 
     def test_unwatch_frees_capacity(self):
         loaded = self._loaded()

@@ -45,7 +45,7 @@ class TestCpuCheckpoint:
         first = (list(session.output), session.cpu.cycles,
                  session.cpu.instructions)
         snapshot.restore(session.cpu, output=session.output)
-        session.cpu.run(start=session.loaded.entry)
+        session.cpu.run()
         second = (list(session.output), session.cpu.cycles,
                   session.cpu.instructions)
         assert first == second
@@ -119,7 +119,7 @@ class TestMonitorRoundTrip:
         snapshot.restore(session.cpu, output=session.output,
                          mrs=session.mrs)
         assert session.mrs.hits == []
-        assert session.cpu.run(start=session.loaded.entry) == 0
+        assert session.cpu.run() == 0
         assert session.mrs.hits == first_hits
         assert session.output == first_output
 
@@ -156,7 +156,7 @@ class TestMonitorRoundTrip:
         sym = session.symbol("steps")
         session.mrs.pre_monitor("steps")
         session.mrs.create_region(sym.address, 4)
-        assert session.cpu.run(start=session.loaded.entry) == 0
+        assert session.cpu.run() == 0
         assert session.mrs.hit_count() == 5
 
 

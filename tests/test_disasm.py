@@ -32,10 +32,10 @@ class TestDisassembler:
 
     def test_pc_marker(self):
         debugger = make_debugger()
-        # before the first run, pc sits at the start of code space — the
-        # first function in the program
-        first_func = debugger.session.program.functions[0].name
-        text = debugger.disassemble(first_func)
+        # the loader leaves pc at the startup stub; its call and delay
+        # slot step into main's first instruction
+        debugger.step(2)
+        text = debugger.disassemble("main")
         assert text.splitlines()[1].startswith("=> ")
         assert text.count("=>") == 1
 

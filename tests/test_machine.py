@@ -7,7 +7,7 @@ from repro.machine.cache import DirectMappedCache, LINE_BYTES
 from repro.machine.costs import CostModel
 from repro.machine.cpu import CPU, CodeSpace, SimulationError, \
     SimulationLimit
-from repro.machine.memory import Memory, MemoryFault, PAGE_SIZE
+from repro.machine.memory import Memory, MemoryFault
 
 
 class TestMemory:
@@ -59,15 +59,6 @@ class TestMemory:
         mem.write_word(0xA0000000, 7)  # segment-table distance
         assert mem.read_word(0xA0000000) == 7
         assert len(mem.words) == 1
-
-    def test_protection(self):
-        mem = Memory()
-        mem.protect_range(0x5000, 8192)
-        assert mem.is_protected(0x5000)
-        assert mem.is_protected(0x5000 + PAGE_SIZE)
-        assert not mem.is_protected(0x5000 + 2 * PAGE_SIZE)
-        mem.unprotect_all()
-        assert not mem.is_protected(0x5000)
 
 
 class TestCache:

@@ -164,7 +164,7 @@ class TestEvalDegradation:
         text = format_table(results, with_paper=False)
         assert "12.0%*" in text
         assert "1.0%*" not in text
-        assert "truncated by a watchdog budget" in text
+        assert "truncated by its instruction budget" in text
 
     def test_max_instructions_bound_without_fault_plan(self):
         bench = WorkloadBench("023.eqntott", scale=0.1,
