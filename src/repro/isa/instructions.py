@@ -177,6 +177,20 @@ ALU_OPS = {
 ALU_EXTRA_CYCLES = {"smul": 4, "sdiv": 19}
 
 
+def alu_icc(op: str, a: int, b: int, result: int):
+    """The condition codes ``(n, z, v, c)`` an ``op``cc sets when it
+    computes *result* from the 32-bit operands *a* and *b*."""
+    n = 1 if result & SIGN_BIT else 0
+    z = 1 if result == 0 else 0
+    if op == "add":
+        return (n, z, 1 if (~(a ^ b) & (a ^ result)) & SIGN_BIT else 0,
+                1 if a + b > WORD_MASK else 0)
+    if op == "sub":
+        return (n, z, 1 if ((a ^ b) & (a ^ result)) & SIGN_BIT else 0,
+                1 if a < b else 0)
+    return n, z, 0, 0
+
+
 class ArithInsn(Instruction):
     """3-operand ALU instruction, optionally setting the condition codes."""
 
@@ -208,17 +222,7 @@ class ArithInsn(Instruction):
         if extra:
             cpu.charge(extra)
         if self.set_cc:
-            n = 1 if result & SIGN_BIT else 0
-            z = 1 if result == 0 else 0
-            v = c = 0
-            if self.op == "add":
-                full = a + b
-                c = 1 if full > WORD_MASK else 0
-                v = 1 if (~(a ^ b) & (a ^ result)) & SIGN_BIT else 0
-            elif self.op == "sub":
-                c = 1 if (a & WORD_MASK) < (b & WORD_MASK) else 0
-                v = 1 if ((a ^ b) & (a ^ result)) & SIGN_BIT else 0
-            cpu.set_icc(n, z, v, c)
+            cpu.set_icc(*alu_icc(self.op, a, b, result))
 
     def __str__(self) -> str:
         return "%s %s,%s,%s" % (self.mnemonic, register_name(self.rs1),

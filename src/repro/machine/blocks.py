@@ -16,17 +16,19 @@ changes — Kessler write-check patches, breakpoint patches, appended
 patch blocks and checkpoint restores all bump
 :attr:`~repro.machine.cpu.CodeSpace.version`.
 
-Compiling is not cheap relative to execution.  On traced perfbench
-runs ``compile_block`` took 2.4–4.9× the time the CPU spent executing
-(``run_self``), and in the time-travel recordings of seed 3, whose
-reverse steps each restore a keyframe and so flush the cache, Python's
-``compile()`` took 12.0 s of the 13.7 s spent in ``compile_block``.
-Those recordings compiled 9,936 blocks from only 1,194 distinct
-sources, so :func:`compile_block` takes its code object from
-:func:`_code`, a process-wide table keyed by the whole generated source
-and bounded at :data:`CODE_TABLE_SIZE` entries.  It still decodes,
-generates the source and runs the code in a fresh namespace on every
-cache miss, so each cache's handlers and counters stay its own.
+Compiling is not cheap relative to execution: Python's ``compile()``
+costs about 1 ms per block.  Yet blocks differ mostly in their
+integers, so the builder writes each per-block integer — pcs, I-cache
+line indices and tags, register numbers, immediates, retire counts,
+site ids — into a numbered constant slot instead of the text.  What is
+left, the block's *shape*, keys :func:`_code`, a process-wide table of
+code objects bounded at :data:`CODE_TABLE_SIZE` shapes, and
+:func:`compile_block` gives each block a copy of its shape's code
+object with the block's constants patched into the slots
+(copy-and-patch compilation, Xu & Kjolstad, OOPSLA 2021).  It still
+decodes and builds on every cache miss, so each cache's handlers and
+counters stay its own; a block rebuilt unchanged after a flush reuses
+its previous copy, which Python has already specialized.
 
 The fast path is *selective* and *exact*:
 
@@ -60,14 +62,19 @@ unchanged.
 
 from __future__ import annotations
 
+import builtins
+import dis
 import functools
-from typing import Dict, List, Optional
+import re
+from types import CodeType, FunctionType
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.faults import MEMORY_WRITE
-from repro.isa.instructions import (ArithInsn, BranchInsn, CallInsn,
-                                    Instruction, JmplInsn, LoadInsn,
-                                    NopInsn, RestoreInsn, SaveInsn,
-                                    SethiInsn, StoreInsn)
+from repro.isa.instructions import (ALU_OPS, ArithInsn, BranchInsn,
+                                    CallInsn, Instruction, JmplInsn,
+                                    LoadInsn, NopInsn, RestoreInsn,
+                                    SaveInsn, SethiInsn, StoreInsn,
+                                    alu_icc, to_signed)
 from repro.machine.memory import MemoryFault
 
 __all__ = ["BasicBlock", "BlockCache", "compile_block", "MAX_TRACE"]
@@ -77,6 +84,16 @@ _LINE_SHIFT = 5
 
 #: longest trace (retired instructions) compiled into one handler.
 MAX_TRACE = 96
+
+#: slot *i* of a block's constant vector is written into its shape as
+#: the literal ``_SLOT + i``.  No other literal the builder writes comes
+#: near it, so the compiled shape's constants show where each slot went.
+_SLOT = 1 << 40
+
+_BUILTINS = builtins.__dict__
+
+#: a builder operand: a constant, or run-time source text
+Operand = Union[int, str]
 
 #: branch-condition expressions over the flag locals ``_fn/_fz/_fv/_fc``
 #: ("a" and "n" are handled structurally, not as expressions).
@@ -254,11 +271,23 @@ def _decode(code, entry: int):
 
 
 class _Builder:
-    """Generates the specialized Python source for one trace."""
+    """Generates one trace's *shape*: the body of its handler, with
+    every per-block integer in a numbered constant slot, and the frame
+    around it.
 
-    def __init__(self, cpu, entry: int, decoded):
-        self.cpu = cpu
-        self.entry = entry
+    Operands are constants (``int``, known at build time) or run-time
+    expressions (``str``: a temp local, or a register read that is used
+    once).  A constant reaches the text only through :meth:`slot`, and
+    no expression the builder writes is made only of constants: those
+    it computes itself with the slow loop's own semantics (``ALU_OPS``,
+    :func:`alu_icc`), because Python's compiler would otherwise fold
+    them into a constant that no slot maps to.  A test that can raise
+    (an ``sdiv`` by a constant zero, a misaligned constant address)
+    stays at run time, on a local, so the fault surfaces at the same
+    instruction with the same state.
+    """
+
+    def __init__(self, cpu, decoded):
         self.tag, self.steps, self.term, self.fall = decoded
         costs = cpu.costs
         self.imiss = costs.imiss_penalty
@@ -269,10 +298,10 @@ class _Builder:
         self.cmask = cpu.cache.index_mask
         self.use: set = set()
         self.flags_written = False
-        #: register id -> expression (a temp local or literal) holding
+        #: register id -> operand (a temp local or a constant) holding
         #: the register's current value — the load+op / op+op
         #: value-forwarding ("fusion") map.
-        self.fwd: Dict[int, str] = {}
+        self.fwd: Dict[int, Operand] = {}
         self._ntmp = 0
         #: cache line of the previous emitted fetch, or None when a
         #: data access (which may evict through the combined cache)
@@ -286,6 +315,8 @@ class _Builder:
         #: pc per retire index (for exception-exact pc recovery).
         self.pcs: List[int] = []
         self.max_retire = 0
+        #: the block's constant vector: slot i holds ``consts[i]``
+        self.consts: List[int] = []
 
     # -- small helpers ---------------------------------------------------
 
@@ -293,79 +324,122 @@ class _Builder:
         self._ntmp += 1
         return "_v%d" % self._ntmp
 
+    def slot(self, value: int) -> str:
+        """A fresh slot holding *value*, as the literal that stands for
+        it in the shape.  Each slot appears once in the text."""
+        consts = self.consts
+        consts.append(value)
+        return str(_SLOT + len(consts) - 1)
+
+    def src(self, operand: Operand) -> str:
+        """*operand* as source text, a constant in a fresh slot."""
+        return operand if type(operand) is str else self.slot(operand)
+
     def flush_static(self, out: List[str]) -> None:
         if self.pend_cycles:
-            out.append("cycles += %d" % self.pend_cycles)
+            out.append("cycles += " + self.slot(self.pend_cycles))
             self.pend_cycles = 0
         if self.pend_hits:
-            out.append("ch += %d" % self.pend_hits)
+            out.append("ch += " + self.slot(self.pend_hits))
             self.pend_hits = 0
         if self.pend_loads:
-            out.append("ld += %d" % self.pend_loads)
+            out.append("ld += " + self.slot(self.pend_loads))
             self.pend_loads = 0
 
-    def read(self, rid: int) -> str:
+    def read(self, rid: int) -> Operand:
         fwd = self.fwd.get(rid)
         if fwd is not None:
             return fwd
         if rid == 0:
-            return "0"
+            return 0
         if rid < 8:
             self.use.add("g")
-            return "g[%d]" % rid
+            return "g[%s]" % self.slot(rid)
         if rid < 16:
             self.use.add("win")
-            return "wo[%d]" % (rid - 8)
+            return "wo[%s]" % self.slot(rid - 8)
         if rid < 24:
             self.use.add("win")
-            return "wl[%d]" % (rid - 16)
+            return "wl[%s]" % self.slot(rid - 16)
         if rid < 32:
             self.use.add("win")
-            return "(pi[%d] if pi is not None else 0)" % (rid - 24)
+            return "(pi[%s] if pi is not None else 0)" % self.slot(rid - 24)
         self.use.add("mon")
-        return "mon[%d]" % (rid - 32)
+        return "mon[%s]" % self.slot(rid - 32)
 
-    def write(self, rid: int, value: str, out: List[str]) -> None:
-        """Emit a register write of *value* (a local or literal, always
-        already masked to 32 bits) and update the forwarding map."""
+    def write(self, rid: int, value: Operand, out: List[str]) -> None:
+        """Emit a register write of *value* (a temp local or a constant,
+        always already masked to 32 bits) and update the forwarding
+        map."""
         if rid == 0:
             return
         if rid < 8:
             self.use.add("g")
-            out.append("g[%d] = %s" % (rid, value))
+            out.append("g[%s] = %s" % (self.slot(rid), self.src(value)))
             self.fwd[rid] = value
         elif rid < 16:
             self.use.add("win")
-            out.append("wo[%d] = %s" % (rid - 8, value))
+            out.append("wo[%s] = %s" % (self.slot(rid - 8), self.src(value)))
             self.fwd[rid] = value
         elif rid < 24:
             self.use.add("win")
-            out.append("wl[%d] = %s" % (rid - 16, value))
+            out.append("wl[%s] = %s"
+                       % (self.slot(rid - 16), self.src(value)))
             self.fwd[rid] = value
         elif rid < 32:
             self.use.add("win")
             out.append("if pi is not None:")
-            out.append("    pi[%d] = %s" % (rid - 24, value))
+            out.append("    pi[%s] = %s"
+                       % (self.slot(rid - 24), self.src(value)))
             # the write is discarded at the outermost frame, so the
             # value must not be forwarded into later reads
             self.fwd.pop(rid, None)
         else:
             self.use.add("mon")
-            out.append("mon[%d] = %s" % (rid - 32, value))
+            out.append("mon[%s] = %s"
+                       % (self.slot(rid - 32), self.src(value)))
             self.fwd[rid] = value
 
-    def operand2(self, op2) -> str:
-        if op2.is_imm:
-            return str(op2.value & _M)
-        return self.read(op2.value)
+    def operand2(self, op2) -> Operand:
+        return op2.value & _M if op2.is_imm else self.read(op2.value)
 
-    def ea_expr(self, addr) -> str:
+    def local(self, operand: Operand, out: List[str],
+              constant: bool = False) -> Operand:
+        """*operand* in a temp local if it is a register read (the
+        caller uses it more than once) or, with *constant*, a
+        constant."""
+        if type(operand) is str:
+            if operand.startswith("_"):
+                return operand
+        elif not constant:
+            return operand
+        name = self.temp()
+        out.append("%s = %s" % (name, self.src(operand)))
+        return name
+
+    def signed(self, operand: Operand, out: List[str]) -> Operand:
+        """*operand* (a constant or a temp local) read as a signed
+        32-bit number."""
+        if type(operand) is int:
+            return to_signed(operand)
+        name = self.temp()
+        out.append("%s = %s - 4294967296 if %s & 2147483648 else %s"
+                   % (name, operand, operand, operand))
+        return name
+
+    def add(self, a: Operand, b: Operand) -> Operand:
+        """``(a + b) & 4294967295``, computed here if both are
+        constants."""
+        if type(a) is int and type(b) is int:
+            return (a + b) & _M
+        return "(%s + %s) & 4294967295" % (self.src(a), self.src(b))
+
+    def ea_expr(self, addr) -> Operand:
         base = self.read(addr.rs1)
-        if addr.rs2 is not None:
-            return "(%s + %s) & 4294967295" % (base, self.read(addr.rs2))
-        if addr.imm == 0:
+        disp = addr.imm if addr.rs2 is None else self.read(addr.rs2)
+        if disp == 0:
             return base
-        return "(%s + %d) & 4294967295" % (base, addr.imm)
+        return self.add(base, disp)
 
     def icache(self, pc: int, out: List[str], inline: bool) -> None:
         """Fetch access for the instruction at *pc*.
@@ -384,10 +458,10 @@ class _Builder:
             return
         self._fetch_line = line
         index = line & self.cmask
-        out.append("if cl[%d] == %d:" % (index, line))
+        out.append("if cl[%s] == %s:" % (self.slot(index), self.slot(line)))
         out.append("    ch += 1")
         out.append("else:")
-        out.append("    cl[%d] = %d" % (index, line))
+        out.append("    cl[%s] = %s" % (self.slot(index), self.slot(line)))
         out.append("    cm += 1")
         out.append("    cycles += %d" % self.imiss)
 
@@ -406,7 +480,7 @@ class _Builder:
     # -- per-instruction emitters ---------------------------------------
 
     def emit_insn(self, insn: Instruction, pc: int, out: List[str],
-                  slot_npc: Optional[str] = None) -> None:
+                  slot_npc: Optional[Operand] = None) -> None:
         """Emit one straight-line instruction: retire bookkeeping,
         fetch, semantics.
 
@@ -419,11 +493,11 @@ class _Builder:
             self.flush_static(out)
             out.append("_c = cycles")
             if slot_npc is None:
-                out.append("_i = %d" % len(self.pcs))
+                out.append("_i = " + self.slot(len(self.pcs)))
             else:
-                out.append("_xi = %d" % len(self.pcs))
-                out.append("_xpc = %d" % pc)
-                out.append("_xnpc = %s" % slot_npc)
+                out.append("_xi = " + self.slot(len(self.pcs)))
+                out.append("_xpc = " + self.slot(pc))
+                out.append("_xnpc = " + self.src(slot_npc))
                 out.append("_i = -1")
             out.append("cycles += 1")
         else:
@@ -433,7 +507,7 @@ class _Builder:
         if kind is ArithInsn:
             self.gen_arith(insn, out)
         elif kind is SethiInsn:
-            self.write(insn.rd, str((insn.imm22 << 10) & _M), out)
+            self.write(insn.rd, (insn.imm22 << 10) & _M, out)
         elif kind is NopInsn:
             pass
         elif kind is LoadInsn:
@@ -450,50 +524,51 @@ class _Builder:
 
     def gen_arith(self, insn: ArithInsn, out: List[str]) -> None:
         op = insn.op
-        bind = insn.set_cc or op in ("sra", "smul", "sdiv")
         a = self.read(insn.rs1)
-        if bind and not (a.isdigit() or a.startswith("_")):
-            name = self.temp()
-            out.append("%s = %s" % (name, a))
-            a = name
         b = self.operand2(insn.op2)
-        if bind and not (b.isdigit() or b.startswith("_")):
-            name = self.temp()
-            out.append("%s = %s" % (name, b))
-            b = name
-        value = self.temp()
-        if op in _ALU_EXPR:
-            if op in ("sll", "srl") and insn.op2.is_imm:
-                # fold the shift-amount mask at compile time
-                expr = _ALU_EXPR[op].replace("(%s & 31)", "%s") \
-                    % (a, (insn.op2.value & _M) & 31)
-            else:
-                expr = _ALU_EXPR[op] % (a, b)
-            out.append("%s = %s" % (value, expr))
+        if type(a) is int and type(b) is int and (b or op != "sdiv"):
+            value = ALU_OPS[op](a, b)
+            self.write(insn.rd, value, out)
+            self.pend_cycles += _ALU_EXTRA.get(op, 0)
+            if insn.set_cc:
+                self.use.add("flags")
+                self.flags_written = True
+                for flag, bit in zip(("_fn", "_fz", "_fv", "_fc"),
+                                     alu_icc(op, a, b, value)):
+                    out.append("%s = %s" % (flag, self.slot(bit)))
+            return
+        if insn.set_cc or op in ("sra", "smul", "sdiv"):
+            # sdiv keeps its zero and sign tests at run time, so its
+            # constants move into locals too
+            a = self.local(a, out, op == "sdiv")
+            b = self.local(b, out, op == "sdiv")
+        if op in ("sll", "srl") and type(b) is int:
+            expr = ("(%s << %s) & 4294967295" if op == "sll"
+                    else "%s >> %s") % (a, self.slot(b & 31))
+        elif op == "andn" and type(b) is int:
+            expr = "%s & %s" % (a, self.slot(~b & _M))
+        elif op in _ALU_EXPR:
+            expr = _ALU_EXPR[op] % (self.src(a), self.src(b))
         elif op == "sra":
-            sa = self.temp()
-            out.append("%s = %s - 4294967296 if %s & 2147483648 else %s"
-                       % (sa, a, a, a))
-            shift = str((insn.op2.value & _M) & 31) if insn.op2.is_imm \
-                else "(%s & 31)" % b
-            out.append("%s = (%s >> %s) & 4294967295" % (value, sa, shift))
-        else:  # smul / sdiv
-            sa = self.temp()
-            sb = self.temp()
-            out.append("%s = %s - 4294967296 if %s & 2147483648 else %s"
-                       % (sa, a, a, a))
-            out.append("%s = %s - 4294967296 if %s & 2147483648 else %s"
-                       % (sb, b, b, b))
-            if op == "smul":
-                out.append("%s = (%s * %s) & 4294967295" % (value, sa, sb))
-            else:
-                out.append("if %s == 0:" % sb)
-                out.append("    raise ZeroDivisionError('sdiv by zero')")
-                quot = self.temp()
-                out.append("%s = abs(%s) // abs(%s)" % (quot, sa, sb))
-                out.append("if (%s < 0) != (%s < 0):" % (sa, sb))
-                out.append("    %s = -%s" % (quot, quot))
-                out.append("%s = %s & 4294967295" % (value, quot))
+            shift = self.slot(b & 31) if type(b) is int else "(%s & 31)" % b
+            expr = "(%s >> %s) & 4294967295" \
+                % (self.src(self.signed(a, out)), shift)
+        elif op == "smul":
+            expr = "(%s * %s) & 4294967295" \
+                % (self.src(self.signed(a, out)),
+                   self.src(self.signed(b, out)))
+        else:  # sdiv, over two locals
+            sa = self.signed(a, out)
+            sb = self.signed(b, out)
+            out.append("if %s == 0:" % sb)
+            out.append("    raise ZeroDivisionError('sdiv by zero')")
+            quot = self.temp()
+            out.append("%s = abs(%s) // abs(%s)" % (quot, sa, sb))
+            out.append("if (%s < 0) != (%s < 0):" % (sa, sb))
+            out.append("    %s = -%s" % (quot, quot))
+            expr = "%s & 4294967295" % quot
+        value = self.temp()
+        out.append("%s = %s" % (value, expr))
         self.write(insn.rd, value, out)
         self.pend_cycles += _ALU_EXTRA.get(op, 0)
         if insn.set_cc:
@@ -501,17 +576,18 @@ class _Builder:
             self.flags_written = True
             out.append("_fn = 1 if %s & 2147483648 else 0" % value)
             out.append("_fz = 1 if %s == 0 else 0" % value)
+            src = self.src
             if op == "add":
                 out.append("_fc = 1 if %s + %s > 4294967295 else 0"
-                           % (a, b))
+                           % (src(a), src(b)))
                 out.append(
                     "_fv = 1 if (~(%s ^ %s) & (%s ^ %s)) & 2147483648 "
-                    "else 0" % (a, b, a, value))
+                    "else 0" % (src(a), src(b), src(a), value))
             elif op == "sub":
-                out.append("_fc = 1 if %s < %s else 0" % (a, b))
+                out.append("_fc = 1 if %s < %s else 0" % (src(a), src(b)))
                 out.append(
                     "_fv = 1 if ((%s ^ %s) & (%s ^ %s)) & 2147483648 "
-                    "else 0" % (a, b, a, value))
+                    "else 0" % (src(a), src(b), src(a), value))
             else:
                 out.append("_fv = 0")
                 out.append("_fc = 0")
@@ -520,7 +596,7 @@ class _Builder:
                  inline: bool) -> None:
         self.use.update(("mem", "ld"))
         ea = self.temp()
-        out.append("%s = %s" % (ea, self.ea_expr(insn.addr)))
+        out.append("%s = %s" % (ea, self.src(self.ea_expr(insn.addr))))
         if inline:
             out.append("ld += 1")
             out.append("cycles += %d" % self.load_extra)
@@ -550,7 +626,10 @@ class _Builder:
             out.append("%s = mw.get((%s + 4) >> 2, 0)" % (hi, ea))
             self.write(insn.rd + 1, hi, out)
 
-    def _store_word(self, ea: str, value: str, site,
+    def site(self, site: Optional[int]) -> str:
+        return "None" if site is None else self.slot(site)
+
+    def _store_word(self, ea: str, value: Operand, site: Optional[int],
                     out: List[str]) -> None:
         out.append("st += 1")
         out.append("cycles += %d" % self.store_extra)
@@ -558,20 +637,19 @@ class _Builder:
         if self.tag == "orig":
             out.append("if cpu.record_writes:")
             out.append("    cpu.write_trace.append((%s, %s, 4))"
-                       % (site, ea))
+                       % (self.site(site), ea))
         out.append("if %s & 3:" % ea)
         out.append("    raise _MF('misaligned word write at 0x%%x' %% %s, "
                    "addr=%s)" % (ea, ea))
         out.append("if mem.faults is not None:")
         out.append("    mem.faults.trip(_MW, addr=%s, width=4)" % ea)
-        out.append("mw[%s >> 2] = %s" % (ea, value))
+        out.append("mw[%s >> 2] = %s" % (ea, self.src(value)))
 
     def gen_store(self, insn: StoreInsn, out: List[str]) -> None:
         self.use.update(("mem", "st"))
         ea = self.temp()
-        out.append("%s = %s" % (ea, self.ea_expr(insn.addr)))
+        out.append("%s = %s" % (ea, self.src(self.ea_expr(insn.addr))))
         value = self.read(insn.rd)
-        site = repr(insn.site)
         if insn.width == 1:
             out.append("st += 1")
             out.append("cycles += %d" % self.store_extra)
@@ -579,26 +657,29 @@ class _Builder:
             if self.tag == "orig":
                 out.append("if cpu.record_writes:")
                 out.append("    cpu.write_trace.append((%s, %s, 1))"
-                           % (site, ea))
+                           % (self.site(insn.site), ea))
             out.append("if mem.faults is not None:")
             out.append("    mem.faults.trip(_MW, addr=%s, width=1)" % ea)
             out.append("_x = %s >> 2" % ea)
             out.append("_s = (3 - (%s & 3)) * 8" % ea)
+            byte = self.slot(value & 255) if type(value) is int \
+                else "(%s & 255)" % value
             out.append("mw[_x] = (mw.get(_x, 0) & ~(255 << _s)) | "
-                       "((%s & 255) << _s)" % value)
+                       "(%s << _s)" % byte)
             return
-        self._store_word(ea, value, site, out)
+        self._store_word(ea, value, insn.site, out)
         if insn.width == 8:
             ea4 = self.temp()
             out.append("%s = %s + 4" % (ea4, ea))
-            self._store_word(ea4, self.read(insn.rd + 1), site, out)
+            self._store_word(ea4, self.read(insn.rd + 1), insn.site, out)
 
     def gen_save(self, insn, out: List[str], push: bool) -> None:
         self.use.update(("win", "regs"))
-        value = self.temp()
-        out.append("%s = (%s + %s) & 4294967295"
-                   % (value, self.read(insn.rs1),
-                      self.operand2(insn.op2)))
+        value = self.add(self.read(insn.rs1), self.operand2(insn.op2))
+        if type(value) is str:
+            name = self.temp()
+            out.append("%s = %s" % (name, value))
+            value = name
         flag = self.temp()
         if push:
             out.append("%s = regs.save_window()" % flag)
@@ -632,7 +713,7 @@ class _Builder:
         self.pend_cycles += 1
         self.icache(pc, out, inline=False)
         if type(insn) is CallInsn:
-            self.write(15, str(pc), out)   # %o7 <- pc of the call
+            self.write(15, pc, out)        # %o7 <- pc of the call
             target = insn.target
         elif insn.cond == "a":
             target = insn.target
@@ -640,30 +721,30 @@ class _Builder:
             target = pc + 8
         self.pcs.append(pc)
         if slot is not None:
-            self.emit_insn(slot, pc + 4, out, slot_npc=str(target))
+            self.emit_insn(slot, pc + 4, out, slot_npc=target)
         return target
+
+    def exit_to(self, target: Operand, out: List[str]) -> None:
+        """Flush the batched counters and leave for *target*."""
+        self.flush_static(out)
+        out.append("_pc = " + self.src(target))
+        out.append("_k = " + self.slot(len(self.pcs)))
+        self.max_retire = max(self.max_retire, len(self.pcs))
 
     def emit_term(self, out: List[str]) -> None:
         kind, pc, insn, slot = self.term
         if kind == "xend":
-            target = self.emit_xfer(pc, insn, slot, out)
-            self.flush_static(out)
-            out.append("_pc = %d" % target)
-            out.append("_k = %d" % len(self.pcs))
-            self.max_retire = len(self.pcs)
+            self.exit_to(self.emit_xfer(pc, insn, slot, out), out)
             return
         if kind == "jmpl":
             self.pend_cycles += 1
             self.icache(pc, out, inline=False)
-            out.append("_tgt = (%s + %s) & 4294967295"
-                       % (self.read(insn.rs1), self.operand2(insn.op2)))
-            self.write(insn.rd, str(pc), out)
+            out.append("_tgt = " + self.src(self.add(
+                self.read(insn.rs1), self.operand2(insn.op2))))
+            self.write(insn.rd, pc, out)
             self.pcs.append(pc)
             self.emit_insn(slot, pc + 4, out, slot_npc="_tgt")
-            self.flush_static(out)
-            out.append("_pc = _tgt")
-            out.append("_k = %d" % len(self.pcs))
-            self.max_retire = len(self.pcs)
+            self.exit_to("_tgt", out)
             return
         # conditional branch: two arms, each with its own pending state
         self.use.add("flags")
@@ -685,12 +766,8 @@ class _Builder:
             self.pcs = list(pcs)
             arm: List[str] = []
             if executes_slot:
-                self.emit_insn(slot, pc + 4, arm,
-                               slot_npc=str(arm_target))
-            self.flush_static(arm)
-            arm.append("_pc = %d" % arm_target)
-            arm.append("_k = %d" % len(self.pcs))
-            self.max_retire = max(self.max_retire, len(self.pcs))
+                self.emit_insn(slot, pc + 4, arm, slot_npc=arm_target)
+            self.exit_to(arm_target, arm)
             return arm
 
         then_arm = arm_to(target, True)
@@ -702,7 +779,11 @@ class _Builder:
 
     # -- whole-function assembly -----------------------------------------
 
-    def build(self) -> str:
+    def build(self) -> Tuple[str, tuple]:
+        """The block's shape: its body text and its frame (what the
+        handler loads from the CPU and writes back), which
+        :func:`_handler` wraps into the handler's source.  The
+        constants are left in :attr:`consts`."""
         body: List[str] = []
         for _, pc, insn, slot in self.steps:
             if type(insn) in _CTI:
@@ -712,108 +793,146 @@ class _Builder:
         if self.term is not None:
             self.emit_term(body)
         else:
-            self.flush_static(body)
-            body.append("_pc = %d" % self.fall)
-            body.append("_k = %d" % len(self.pcs))
-            self.max_retire = len(self.pcs)
-
-        lines = ["def _blk(cpu):"]
-
-        def emit(text: str, depth: int = 1) -> None:
-            lines.append("    " * depth + text)
-
-        if self.use & {"g", "win", "mon", "regs"}:
-            emit("regs = cpu.regs")
-        if "g" in self.use:
-            emit("g = regs.globals")
-        if "win" in self.use:
-            emit("W = regs._window")
-            emit("wo = W.outs")
-            emit("wl = W.locals")
-            emit("P = W.parent")
-            emit("pi = P.outs if P is not None else None")
-        if "mon" in self.use:
-            emit("mon = regs.monitors")
-        if "mem" in self.use:
-            emit("mem = cpu.mem")
-            emit("mw = mem.words")
-        emit("cache = cpu.cache")
-        emit("cl = cache.lines")
-        emit("ch = cache.hits")
-        emit("cm = cache.misses")
-        emit("cy0 = cycles = cpu.cycles")
-        emit("_c = cycles")
-        emit("ic = cpu.instructions")
-        if "ld" in self.use:
-            emit("ld = cpu.loads")
-        if "st" in self.use:
-            emit("st = cpu.stores")
-        if "flags" in self.use:
-            emit("_fn = cpu.icc_n")
-            emit("_fz = cpu.icc_z")
-            emit("_fv = cpu.icc_v")
-            emit("_fc = cpu.icc_c")
-        emit("_i = 0")
-        emit("try:")
-        for line in body:
-            emit(line, 2)
-        emit("except BaseException:")
-        emit("cpu.cycles = cycles", 2)
-        emit("if _i < 0:", 2)
-        emit("_k = _xi", 3)
-        emit("cpu.pc = _xpc", 3)
-        emit("cpu.npc = _xnpc", 3)
-        emit("else:", 2)
-        emit("_k = _i", 3)
-        emit("cpu.pc = _PCS[_i]", 3)
-        emit("cpu.npc = _PCS[_i] + 4", 3)
-        emit("cpu.instructions = ic + _k", 2)
-        emit("if _k:", 2)
-        emit("tc = cpu.tag_counts", 3)
-        emit("tgc = cpu.tag_cycles", 3)
-        emit("tc[_TAG] = tc.get(_TAG, 0) + _k", 3)
-        emit("tgc[_TAG] = tgc.get(_TAG, 0) + (_c - cy0)", 3)
-        self._emit_flush(emit, 2)
-        emit("raise", 2)
-        emit("cpu.cycles = cycles")
-        emit("cpu.instructions = ic + _k")
-        emit("tc = cpu.tag_counts")
-        emit("tgc = cpu.tag_cycles")
-        emit("tc[_TAG] = tc.get(_TAG, 0) + _k")
-        emit("tgc[_TAG] = tgc.get(_TAG, 0) + (cycles - cy0)")
-        self._emit_flush(emit, 1)
-        emit("cpu.pc = _pc")
-        emit("cpu.npc = _pc + 4")
-        emit("_bc.runs += 1")
-        emit("_bc.retired += _k")
-        return "\n".join(lines) + "\n"
-
-    def _emit_flush(self, emit, depth: int) -> None:
-        emit("cache.hits = ch", depth)
-        emit("cache.misses = cm", depth)
-        if "ld" in self.use:
-            emit("cpu.loads = ld", depth)
-        if "st" in self.use:
-            emit("cpu.stores = st", depth)
-        if self.flags_written:
-            emit("cpu.icc_n = _fn", depth)
-            emit("cpu.icc_z = _fz", depth)
-            emit("cpu.icc_v = _fv", depth)
-            emit("cpu.icc_c = _fc", depth)
+            self.exit_to(self.fall, body)
+        return "\n        ".join(body), (frozenset(self.use),
+                                         self.flags_written)
 
 
-#: generated sources whose code objects the process keeps.  About twice
-#: the largest per-CPU working set measured (234 distinct sources in
-#: one time-travel recording); an entry costs about 8.4 KB.
+def _handler(body: str, frame: tuple) -> str:
+    """The source of the handler function around *body*."""
+    use, flags_written = frame
+    head = []
+    if use & {"g", "win", "mon", "regs"}:
+        head.append("regs = cpu.regs")
+    if "g" in use:
+        head.append("g = regs.globals")
+    if "win" in use:
+        head += ["W = regs._window", "wo = W.outs", "wl = W.locals",
+                 "P = W.parent", "pi = P.outs if P is not None else None"]
+    if "mon" in use:
+        head.append("mon = regs.monitors")
+    if "mem" in use:
+        head += ["mem = cpu.mem", "mw = mem.words"]
+    head += ["cache = cpu.cache", "cl = cache.lines", "ch = cache.hits",
+             "cm = cache.misses", "cy0 = cycles = cpu.cycles",
+             "_c = cycles", "ic = cpu.instructions"]
+    if "ld" in use:
+        head.append("ld = cpu.loads")
+    if "st" in use:
+        head.append("st = cpu.stores")
+    if "flags" in use:
+        head += ["_fn = cpu.icc_n", "_fz = cpu.icc_z", "_fv = cpu.icc_v",
+                 "_fc = cpu.icc_c"]
+    head.append("_i = 0")
+    # write back the counters and flags the body keeps in locals
+    flush = ["cache.hits = ch", "cache.misses = cm"]
+    if "ld" in use:
+        flush.append("cpu.loads = ld")
+    if "st" in use:
+        flush.append("cpu.stores = st")
+    if flags_written:
+        flush += ["cpu.icc_n = _fn", "cpu.icc_z = _fz", "cpu.icc_v = _fv",
+                  "cpu.icc_c = _fc"]
+    handler = [
+        "cpu.cycles = cycles",
+        "if _i < 0:",
+        "    _k = _xi",
+        "    cpu.pc = _xpc",
+        "    cpu.npc = _xnpc",
+        "else:",
+        "    _k = _i",
+        "    cpu.pc = _PCS[_i]",
+        "    cpu.npc = _PCS[_i] + 4",
+        "cpu.instructions = ic + _k",
+        "if _k:",
+        "    tc = cpu.tag_counts",
+        "    tgc = cpu.tag_cycles",
+        "    tc[_TAG] = tc.get(_TAG, 0) + _k",
+        "    tgc[_TAG] = tgc.get(_TAG, 0) + (_c - cy0)",
+    ] + flush + ["raise"]
+    tail = [
+        "cpu.cycles = cycles",
+        "cpu.instructions = ic + _k",
+        "tc = cpu.tag_counts",
+        "tgc = cpu.tag_cycles",
+        "tc[_TAG] = tc.get(_TAG, 0) + _k",
+        "tgc[_TAG] = tgc.get(_TAG, 0) + (cycles - cy0)",
+    ] + flush + [
+        "cpu.pc = _pc",
+        "cpu.npc = _pc + 4",
+        "_bc.runs += 1",
+        "_bc.retired += _k",
+    ]
+    return ("def _blk(cpu):\n    " + "\n    ".join(head)
+            + "\n    try:\n        " + body
+            + "\n    except BaseException:\n        "
+            + "\n        ".join(handler)
+            + "\n    " + "\n    ".join(tail) + "\n")
+
+
+#: shapes whose compiled code objects the process keeps.  An entry is
+#: the shape's body text (about 2.5 KB) and its code object with its
+#: tables (about 7 KB).
 CODE_TABLE_SIZE = 512
+
+_LOADS_CONST = frozenset(dis.hasconst)
+_EXTENDED_ARG = dis.opmap["EXTENDED_ARG"]
+#: a slot's literal in a shape: fixed literals have at most 10 digits
+_SLOT_LITERAL = re.compile(r"\d{13,}")
+
+
+def _loaded(code: CodeType) -> set:
+    """The ``co_consts`` indices some instruction of *code* loads.
+    ``co_code`` is two-byte units, opcode then argument (inline caches
+    read as zeros), so the opcodes are its even bytes."""
+    raw = code.co_code
+    ops, args = raw[0::2], raw[1::2]
+    loaded = set()
+    for op in _LOADS_CONST:
+        at = ops.find(op)
+        while at >= 0:
+            arg, back = args[at], at
+            while back and ops[back - 1] == _EXTENDED_ARG:
+                back -= 1
+                arg |= args[back] << 8 * (at - back)
+            loaded.add(arg)
+            at = ops.find(op, at + 1)
+    return loaded
 
 
 @functools.lru_cache(maxsize=CODE_TABLE_SIZE)
-def _code(source: str):
-    """The code object of one generated block source, shared by every
-    CPU in the process.  It holds no per-CPU state: each
-    :func:`compile_block` call runs it in a fresh namespace."""
-    return compile(source, "<block>", "exec")
+def _code(body: str, frame: tuple, slots: int):
+    """The handler code object of the shape (*body*, *frame*), which
+    has *slots* constant slots, shared by every CPU in the process:
+    ``(code, order)``, where ``order`` indexes a block's ``co_consts``
+    out of the shape's constants followed by the block's constant
+    vector.  None when the compiled constants do not map one to one
+    onto the slots (Python folded a slot into another constant, or left
+    one unloaded), so that a block of this shape must compile its own
+    source."""
+    module = compile(_handler(body, frame), "<block>", "exec")
+    code = next(const for const in module.co_consts
+                if type(const) is CodeType)
+    consts = code.co_consts
+    where = {const - _SLOT: index for index, const in enumerate(consts)
+             if type(const) is int and const >= _SLOT}
+    if sorted(where) != list(range(slots)) or \
+            not _loaded(code).issuperset(where.values()):
+        return None
+    order = list(range(len(consts)))
+    shared = list(consts)
+    for slot, index in where.items():
+        order[index] = len(consts) + slot
+        shared[index] = None     # every block patches it
+    return code.replace(co_consts=tuple(shared)), tuple(order)
+
+
+def _source(body: str, frame: tuple, consts: List[int]) -> str:
+    """The block's own source: the handler with each slot's literal
+    replaced by the slot's value."""
+    return _SLOT_LITERAL.sub(
+        lambda literal: "(%d)" % consts[int(literal.group()) - _SLOT],
+        _handler(body, frame))
 
 
 def compile_block(cpu, entry: int, cache: "BlockCache"
@@ -822,18 +941,37 @@ def compile_block(cpu, entry: int, cache: "BlockCache"
     decoded = _decode(cpu.code, entry)
     if decoded is None:
         return None
-    builder = _Builder(cpu, entry, decoded)
-    source = builder.build()
+    builder = _Builder(cpu, decoded)
+    body, frame = builder.build()
+    consts = builder.consts
     namespace = {
+        "__builtins__": _BUILTINS,
         "_PCS": tuple(builder.pcs),
         "_MF": MemoryFault,
         "_MW": MEMORY_WRITE,
         "_TAG": builder.tag,
         "_bc": cache,
     }
-    exec(_code(source), namespace)
-    return BasicBlock(entry, namespace["_blk"], builder.max_retire,
-                      len(builder.pcs), builder.tag)
+    stencil = _code(body, frame, len(consts))
+    if stencil is None:
+        cache.fallbacks += 1
+        exec(compile(_source(body, frame, consts), "<block>", "exec"),
+             namespace)
+        fn = namespace["_blk"]
+    else:
+        code, order = stencil
+        pool = code.co_consts + tuple(consts)
+        co_consts = tuple(map(pool.__getitem__, order))
+        # a block rebuilt unchanged after a flush keeps its code object,
+        # which Python has specialized while it ran
+        last = cache.patched.get(entry)
+        if last is None or last[0] is not code or \
+                last[1].co_consts != co_consts:
+            last = cache.patched[entry] = (code, code.replace(
+                co_consts=co_consts))
+        fn = FunctionType(last[1], namespace)
+    return BasicBlock(entry, fn, builder.max_retire, len(builder.pcs),
+                      builder.tag)
 
 
 class BlockCache:
@@ -844,21 +982,31 @@ class BlockCache:
     ``code.version``, and the dispatch loop (``CPU._run_until``) flushes
     the whole cache before its next lookup.  Whole-cache flushes keep
     the invalidation rules trivially sound (no per-pc range bookkeeping
-    to get wrong), but they are not cheap: every entry is compiled again
-    on its next miss, and compiling costs more than executing.  The
-    shared code table (:func:`_code`) lets a recompile skip Python's
-    ``compile()`` for a source seen before.
+    to get wrong), but they are not cheap: every entry is built again on
+    its next miss.  The shared shape table (:func:`_code`) lets a
+    rebuild skip Python's ``compile()`` for a shape seen before; a
+    block whose shape cannot be patched compiles its own source, which
+    :attr:`fallbacks` counts.  :attr:`patched` survives flushes: a
+    block rebuilt at the same pc from the same shape and constants
+    reuses its code object, warm, instead of a fresh copy that would
+    run unspecialized again (each reverse step flushes the cache).
     """
 
-    __slots__ = ("cpu", "blocks", "version", "decodes", "invalidations",
-                 "runs", "retired")
+    __slots__ = ("cpu", "blocks", "patched", "version", "decodes",
+                 "invalidations", "fallbacks", "runs", "retired")
 
     def __init__(self, cpu):
         self.cpu = cpu
         self.blocks: Dict[int, Optional[BasicBlock]] = {}
+        #: entry pc -> (shape code, patched code) of the last block
+        #: built there; kept across flushes
+        self.patched: Dict[int, tuple] = {}
         self.version = cpu.code.version
         self.decodes = 0
         self.invalidations = 0
+        #: blocks compiled from their own source, not patched from
+        #: their shape's code object
+        self.fallbacks = 0
         #: fast-path executions / instructions retired through blocks
         self.runs = 0
         self.retired = 0
@@ -880,6 +1028,7 @@ class BlockCache:
                                  if block is not None),
             "decodes": self.decodes,
             "invalidations": self.invalidations,
+            "fallbacks": self.fallbacks,
             "block_runs": self.runs,
             "fast_retired": self.retired,
         }

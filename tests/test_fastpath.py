@@ -12,17 +12,24 @@ fails.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import repro.optimizer.pipeline as pipeline
 from repro.asm.assembler import assemble
 from repro.asm.loader import load_program
 from repro.debugger import Debugger
-from repro.isa.instructions import NopInsn
+from repro.eval.overhead import WorkloadBench
+from repro.eval.paper_data import TABLE1_COLUMNS
+from repro.isa.instructions import (ALU_OPS, ArithInsn, BranchInsn,
+                                    LoadInsn, MemAddress, NopInsn,
+                                    Operand2, SethiInsn, StoreInsn)
+from repro.machine import blocks
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.cpu import SimulationLimit
+from repro.machine.memory import MemoryFault
 from repro.minic.codegen import compile_source
 from repro.replay import state_digest
-from repro.workloads import WORKLOADS, workload_source
+from repro.workloads import WORKLOAD_ORDER, WORKLOADS, workload_source
 
 WORKLOAD_NAMES = ["023.eqntott", "030.matrix300", "008.espresso", "022.li",
                   "042.fpppp"]
@@ -42,6 +49,7 @@ def cpu_state(cpu):
         "tag_cycles": dict(cpu.tag_cycles),
         "cache": (cpu.cache.hits, cpu.cache.misses),
         "globals": list(regs.globals),
+        "window": [regs.read(rid) for rid in range(8, 32)],
         "memory": sorted(cpu.mem.words.items()),
         "depth": (cpu._window_depth, cpu.max_window_depth),
         "exit": (cpu.running, cpu.exit_code),
@@ -171,11 +179,12 @@ class TestInvalidation:
 
 class TestSharedCode:
     """Every CPU in a process compiles through one bounded table of code
-    objects, keyed by the whole generated block source."""
+    objects, keyed by block shape; each block runs its own patched copy
+    of its shape's code object."""
 
     def test_each_machine_runs_its_own_code(self):
         # miss penalties and the cache index mask are baked into the
-        # source, so one process running the same program on three
+        # shape, so one process running the same program on three
         # machines must still match the slow loop on each
         spec = WORKLOADS["030.matrix300"]
         asm = compile_source(workload_source("030.matrix300", 0.1),
@@ -202,8 +211,11 @@ class TestSharedCode:
         first = load_program(assemble(asm))
         first.run()
         before = first.cpu.fast_stats()
+        misses = blocks._code.cache_info().misses
         second = load_program(assemble(asm))
         second.run()
+        # every shape the second CPU needs, the first compiled
+        assert blocks._code.cache_info().misses == misses
         # each CPU's blocks count into its own cache
         assert first.cpu.fast_stats() == before
         ones = first.cpu.block_cache().blocks
@@ -212,8 +224,274 @@ class TestSharedCode:
                   if block is not None and twos.get(pc) is not None]
         assert shared
         for pc in shared:
-            assert ones[pc].fn.__code__ is twos[pc].fn.__code__
+            assert ones[pc].fn.__code__.co_code == \
+                twos[pc].fn.__code__.co_code
             assert ones[pc].fn is not twos[pc].fn
+
+    def test_one_shape_at_two_pcs_compiles_once(self):
+        # one loop body assembled twice with different immediates, each
+        # copy at the same offset in its 32-byte cache line
+        program = assemble(TWO_LOOPS)
+        heads = [program.labels["first"], program.labels["second"]]
+        assert heads[0] % 32 == heads[1] % 32
+        loaded = load_program(program)
+        cache = loaded.cpu.block_cache()
+        blocks._code.cache_clear()     # count this test's compiles only
+        one, two = (cache.lookup(head) for head in heads)
+        assert blocks._code.cache_info().misses == 1
+        assert one.fn.__code__.co_code == two.fn.__code__.co_code
+        assert one.fn.__code__.co_consts != two.fn.__code__.co_consts
+        states = []
+        for engine in (load_program(program, fast_path=False), loaded):
+            states.append((engine.run(), cpu_state(engine.cpu)))
+        assert states[1] == states[0]
+        assert states[0][0] == 3 * 10 + 5 * 20
+        assert cache.blocks[heads[0]] is one
+        assert cache.blocks[heads[1]] is two
+        assert loaded.cpu.fast_stats()["fallbacks"] == 0
+
+
+TWO_LOOPS = """
+\t.text
+\t.proc main
+main:
+\tsave %sp, -96, %sp
+\tmov 0, %l0
+\tmov 0, %l1
+\tnop
+\tnop
+\tnop
+\tnop
+\tnop
+first:
+\tadd %l0, 3, %l0
+\tadd %l1, 1, %l1
+\tcmp %l1, 10
+\tbl first
+\tnop
+\tmov 0, %l1
+\tnop
+\tnop
+second:
+\tadd %l0, 5, %l0
+\tadd %l1, 1, %l1
+\tcmp %l1, 20
+\tbl second
+\tnop
+\tmov %l0, %i0
+\tret
+\trestore
+\t.endproc
+"""
+
+
+#: registers the generated blocks compute in: two each of globals,
+#: outs, locals and ins (%g1 holds the base address).  A block first
+#: sets the first three to constants; it reads the rest at run time.
+GEN_REGS = (2, 8, 16, 3, 9, 17, 24, 25)
+GEN_CONDS = ("e", "ne", "l", "ge", "le", "g", "lu", "geu", "leu", "gu",
+             "neg", "pos")
+#: word address the generated blocks' base register holds
+GEN_BASE = 0x10004100
+FP = 30  # %fp
+
+#: 32-bit words, edge cases for carries, overflows and addresses first
+gen_words = st.one_of(
+    st.sampled_from((0, 1, 4, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFC,
+                     0xFFFFFFFF)),
+    st.integers(0, 2 ** 32 - 1))
+
+
+def set_word(word, rd):
+    """``set word, rd``: a sethi, and an or unless the low bits are 0."""
+    insns = [SethiInsn(word >> 10, rd)]
+    if word & 0x3FF:
+        insns.append(ArithInsn("or", rd, Operand2.imm(word & 0x3FF), rd))
+    return insns
+
+
+@st.composite
+def gen_alu(draw):
+    op2 = draw(st.one_of(
+        st.integers(-4096, 4095).map(Operand2.imm),
+        st.sampled_from((0,) + GEN_REGS).map(Operand2.reg)))
+    return ArithInsn(draw(st.sampled_from(sorted(ALU_OPS))),
+                     draw(st.sampled_from((0,) + GEN_REGS)), op2,
+                     draw(st.sampled_from((0,) + GEN_REGS)),
+                     draw(st.booleans()))
+
+
+@st.composite
+def gen_mem(draw):
+    # mostly %g1 (an aligned address, constant or read at run time) or
+    # %fp; sometimes %g2 (a constant word) or %g3 (a run-time one),
+    # which fault on most word accesses, as do displacements 1 and -3
+    addr = MemAddress(draw(st.sampled_from((1, 1, 1, 1, FP, FP, 2, 3))),
+                      imm=draw(st.sampled_from((-12, -8, -4, 0, 4, 8, 12,
+                                                16, 1, -3))))
+    kind = draw(st.sampled_from(("ld", "ldub", "ldsb", "st", "stb")))
+    if kind.startswith("ld"):
+        return LoadInsn(1 if kind != "ld" else 4, addr,
+                        draw(st.sampled_from(GEN_REGS)),
+                        signed=kind == "ldsb")
+    insn = StoreInsn(4 if kind == "st" else 1,
+                     draw(st.sampled_from((0,) + GEN_REGS)), addr)
+    insn.site = draw(st.one_of(st.none(), st.integers(0, 99)))
+    return insn
+
+
+@st.composite
+def gen_block(draw):
+    """Run-time values for the registers and the memory the block
+    reads, then a straight-line body over forwarded constants and the
+    conditional branch that ends it: ``(values, body, cond, annul,
+    slot)``."""
+    values = draw(st.lists(gen_words, min_size=len(GEN_REGS) + 6,
+                           max_size=len(GEN_REGS) + 6))
+    body = []
+    # mostly a constant base address, seldom a misaligned one
+    if draw(st.integers(0, 3)):
+        body += set_word(draw(st.sampled_from((GEN_BASE,) * 3
+                                              + (GEN_BASE + 1,))), 1)
+    for rd in GEN_REGS[:3]:
+        body += set_word(draw(gen_words), rd)
+    body += draw(st.lists(st.one_of(gen_alu(), gen_alu(), gen_mem()),
+                          min_size=6, max_size=14))
+    slot = draw(st.one_of(gen_alu(), gen_mem(), st.just(NopInsn())))
+    return (values, body, draw(st.sampled_from(GEN_CONDS)),
+            draw(st.booleans()), slot)
+
+
+def generated_program(block):
+    """``main``: a ``lib`` prologue that stores run-time values around
+    the base address and puts others in the registers (a tag change
+    ends a block, so the block reads them at run time), then *block*'s
+    body and branch; both arms exit in ``main``'s window, so the
+    window's registers stay observable."""
+    values, body, cond, annul, slot = block
+    prologue = set_word(GEN_BASE, 1)
+    for offset, word in zip(range(-12, 12, 4), values[len(GEN_REGS):]):
+        prologue += set_word(word, 2)
+        prologue.append(StoreInsn(4, 2, MemAddress(1, imm=offset)))
+    for rd, word in zip(GEN_REGS, values):
+        prologue += set_word(word, rd)
+    for insn in prologue:
+        insn.tag = "lib"
+    program = assemble("\t.text\n\t.proc main\nmain:\n"
+                       "\tsave %sp, -96, %sp\n"
+                       + "\tnop\n" * (len(prologue) + len(body))
+                       + "\tbe taken\n\tnop\n\tnop\ntaken:\n"
+                       "\tta 0\n\t.endproc\n")
+    start = (program.labels["main"] - program.text_base) // 4 + 1
+    end = start + len(prologue) + len(body)
+    program.insns[start:end] = prologue + body
+    program.insns[end] = BranchInsn(cond, program.labels["taken"], annul)
+    program.insns[end + 1] = slot
+    return program, program.text_base + 4 * (start + len(prologue))
+
+
+def run_generated(program, fast):
+    loaded = load_program(program, fast_path=fast, record_writes=True)
+    try:
+        outcome = ("exit", loaded.run())
+    except (MemoryFault, ZeroDivisionError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, loaded
+
+
+class TestGeneratedBlocks:
+    """Blocks no workload contains, built over forwarded constants, so
+    the builder's own constant folding runs against the slow loop."""
+
+    @given(block=gen_block())
+    # a constant sdiv by zero; misaligned constant addresses
+    @example(block=([0] * 14, set_word(GEN_BASE, 1) + [
+        ArithInsn("or", 0, Operand2.imm(7), 8),
+        ArithInsn("sdiv", 8, Operand2.reg(0), 9)], "e", False, NopInsn()))
+    @example(block=([0] * 14, set_word(GEN_BASE + 1, 1) + [
+        LoadInsn(4, MemAddress(1, imm=0), 8)], "ne", False, NopInsn()))
+    @example(block=([0] * 14, set_word(GEN_BASE, 1) + [
+        StoreInsn(4, 8, MemAddress(1, imm=-3))], "g", True, NopInsn()))
+    # constant addresses that wrap around 2**32
+    @example(block=([0, 0, 0, 9] + [0] * 10, set_word(0xFFFFFFFC, 2) + [
+        StoreInsn(4, 3, MemAddress(2, imm=8)),
+        StoreInsn(1, 3, MemAddress(0, imm=-4))], "e", False, NopInsn()))
+    # a negative constant shifted by a run-time amount; a carry edge
+    @example(block=([0, 0, 0, 5] + [0] * 10, set_word(0x80000010, 2) + [
+        ArithInsn("sra", 2, Operand2.reg(3), 8)], "e", False, NopInsn()))
+    @example(block=([0] * 14, set_word(0xFFFFFFFF, 2) + [
+        ArithInsn("add", 2, Operand2.reg(3), 8, True)], "lu", False,
+        NopInsn()))
+    # a borrow edge: a run-time value minus itself
+    @example(block=([0, 0, 0, 7] + [0] * 10, [
+        ArithInsn("sub", 3, Operand2.reg(3), 8, True)], "geu", False,
+        NopInsn()))
+    # condition codes folded from constants: an overflow, no carry
+    @example(block=([0] * 14, set_word(0x7FFFFFFF, 2) + [
+        ArithInsn("add", 2, Operand2.imm(1), 8, True)], "l", False,
+        NopInsn()))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_generated_block_is_bit_exact(self, block):
+        program, entry = generated_program(block)
+        slow, slow_run = run_generated(program, fast=False)
+        fast, fast_run = run_generated(program, fast=True)
+        assert fast == slow
+        assert cpu_state(fast_run.cpu) == cpu_state(slow_run.cpu)
+        assert fast_run.cpu.write_trace == slow_run.cpu.write_trace
+        assert fast_run.cpu.block_cache().blocks[entry] is not None
+        assert fast_run.cpu.fast_stats()["fallbacks"] == 0
+
+
+class TestNoFallbacks:
+    """Every block of real code is patched from its shape: a builder
+    change that leaves an expression made only of constants for
+    Python to fold fails here, on the Python that folds it."""
+
+    @pytest.mark.parametrize("name", WORKLOAD_ORDER)
+    def test_workloads_never_fall_back(self, name):
+        bench = WorkloadBench(name, scale=0.02)
+        runs = [bench.baseline()]
+        for column in TABLE1_COLUMNS:
+            runs.append(bench.run_instrumented(
+                "Bitmap" if column == "Disabled" else column,
+                enabled=column != "Disabled"))
+        _stmts, plan = pipeline.build_plan(bench.asm, mode="full")
+        runs.append(bench.run_instrumented("BitmapInlineRegisters",
+                                           plan=plan))
+        for run in runs:
+            stats = run.session.cpu.fast_stats()
+            assert stats["decodes"] > 0
+            assert stats["fallbacks"] == 0
+
+    def test_shape_check_refuses_folded_and_dead_slots(self):
+        slot = blocks._SLOT
+        frame = (frozenset(), False)
+        assert blocks._code("x = cpu + %d" % slot, frame, 1) is not None
+        # Python folds two slots into one constant
+        assert blocks._code("x = %d | %d" % (slot, slot + 1), frame, 2) \
+            is None
+        # a slot in code Python proves dead is never loaded
+        assert blocks._code("x = %d if 0 else cpu" % slot, frame, 1) \
+            is None
+
+    def test_unfolded_constants_fall_back_bit_exact(self, monkeypatch):
+        # a builder that leaves a constant base plus a displacement for
+        # Python to fold: the shape cannot be patched, so each such
+        # block compiles its own source
+        def unfolded(self, a, b):
+            return "(%s + %s) & 4294967295" % (self.src(a), self.src(b))
+
+        monkeypatch.setattr(blocks._Builder, "add", unfolded)
+        body = set_word(GEN_BASE, 1) + [
+            LoadInsn(4, MemAddress(1, imm=8), 8),
+            StoreInsn(4, 8, MemAddress(1, imm=-4))]
+        program, _entry = generated_program(
+            (list(range(14)), body, "e", False, NopInsn()))
+        slow, slow_run = run_generated(program, fast=False)
+        fast, fast_run = run_generated(program, fast=True)
+        assert fast == slow
+        assert cpu_state(fast_run.cpu) == cpu_state(slow_run.cpu)
+        assert fast_run.cpu.fast_stats()["fallbacks"] >= 1
 
 
 SEEDED_SOURCE = """
