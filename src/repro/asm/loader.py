@@ -50,7 +50,7 @@ def load_program(program: Program,
     (False) the per-step loop the differential tests use as reference.
     """
     code = CodeSpace(base=program.text_base)
-    code.insns.extend(program.insns)
+    code.append_block(program.insns)
 
     if "main" not in program.labels:
         raise ValueError("program has no 'main' entry point")

@@ -85,13 +85,8 @@ class UndoJournal:
 
     def record_code(self, code, addr: int) -> None:
         """Capture the instruction slot at *addr* in a CodeSpace."""
-        index = code.index_of(addr)
-        insns = code.insns
-        old = insns[index]
-
-        def undo() -> None:
-            insns[index] = old
-        self._entries.append(undo)
+        old = code.at(addr)
+        self._entries.append(lambda: code.patch(addr, old))
 
     # -- outcomes ----------------------------------------------------------
 

@@ -11,10 +11,17 @@ delay slot is folded into the same function, loaded values are
 forwarded directly into the instructions that consume them, and traces
 extend *through* statically-targeted ``call``/``ba`` transfers so a
 call-heavy inner loop still compiles to one handler).  Compiled blocks
-are cached keyed by entry pc and invalidated whenever the code space
-changes — Kessler write-check patches, breakpoint patches, appended
-patch blocks and checkpoint restores all bump
-:attr:`~repro.machine.cpu.CodeSpace.version`.
+are cached keyed by entry pc, and the cache is flushed whenever the
+code space changes — Kessler write-check patches, breakpoint patches,
+appended patch blocks and checkpoint restores all bump
+:attr:`~repro.machine.cpu.CodeSpace.version`.  A flush is followed by
+*revalidation*, not rebuilding: the cache keeps the last block built at
+each entry pc together with the code slots its decode read, and the
+next miss there hands that block back if every slot still holds the
+same instruction object.  Only changed code is decoded again, so a
+reverse step, which restores the code it flushed, rebuilds nothing
+(translated code invalidated only when the code it came from changes,
+as in Maebe & De Bosschere, arXiv cs/0309029).
 
 Compiling is not cheap relative to execution: Python's ``compile()``
 costs about 1 ms per block.  Yet blocks differ mostly in their
@@ -25,10 +32,9 @@ left, the block's *shape*, keys :func:`_code`, a process-wide table of
 code objects bounded at :data:`CODE_TABLE_SIZE` shapes, and
 :func:`compile_block` gives each block a copy of its shape's code
 object with the block's constants patched into the slots
-(copy-and-patch compilation, Xu & Kjolstad, OOPSLA 2021).  It still
-decodes and builds on every cache miss, so each cache's handlers and
-counters stay its own; a block rebuilt unchanged after a flush reuses
-its previous copy, which Python has already specialized.
+(copy-and-patch compilation, Xu & Kjolstad, OOPSLA 2021).  Each cache
+builds its own blocks, so its handlers and counters stay its own, and a
+kept block keeps its code object, which Python has already specialized.
 
 The fast path is *selective* and *exact*:
 
@@ -65,6 +71,7 @@ from __future__ import annotations
 import builtins
 import dis
 import functools
+import operator
 import re
 from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple, Union
@@ -179,12 +186,17 @@ class BasicBlock:
             self.entry, self.size, self.tag)
 
 
-def _decode(code, entry: int):
+def _decode(code, entry: int, reads: Dict[int, Optional[Instruction]]):
     """Walk the trace at *entry*: straight-line instructions, embedded
     ``call``/``ba``/``bn`` transfers (statically-known successor), and a
     terminator (conditional branch, ``jmpl``, trace-ending transfer, or
     plain fall-through).  Returns ``(tag, steps, term, fall_pc)`` or
-    None when the entry instruction itself cannot go fast."""
+    None when the entry instruction itself cannot go fast.
+
+    Every code slot the walk reads goes into *reads*, index -> the
+    instruction found there, None for an index past the end of the code
+    (it decided where the trace stops).  The result depends on nothing
+    else: :func:`compile_block` revalidates a kept block against them."""
     insns = code.insns
     base = code.base
     count = len(insns)
@@ -193,7 +205,8 @@ def _decode(code, entry: int):
         if pc < base or pc & 3:
             return None
         index = (pc - base) >> 2
-        return insns[index] if index < count else None
+        insn = reads[index] = insns[index] if index < count else None
+        return insn
 
     first = at(entry)
     if first is None:
@@ -937,10 +950,45 @@ def _source(body: str, frame: tuple, consts: List[int]) -> str:
 
 def compile_block(cpu, entry: int, cache: "BlockCache"
                   ) -> Optional[BasicBlock]:
-    """Decode and compile the trace entered at *entry*, or None."""
-    decoded = _decode(cpu.code, entry)
-    if decoded is None:
-        return None
+    """The trace entered at *entry*, compiled, or None when it cannot go
+    fast; :meth:`BlockCache.lookup` calls it on every miss.
+
+    *cache* keeps the last result built at *entry* across flushes, with
+    the code slots its decode read.  If every one of them still holds
+    the same instruction object, that result is returned as it is:
+    instructions are replaced, never edited (:class:`~repro.machine.cpu.
+    CodeSpace`), so the same objects decode to the same block, and the
+    kept block's code object is already warm.  Otherwise the trace is
+    decoded and built again, and the new result is kept."""
+    kept = cache.kept.get(entry)
+    if kept is not None and _unchanged(cpu.code.insns, kept):
+        cache.revalidated += 1
+        return kept[0]
+    reads: Dict[int, Optional[Instruction]] = {}
+    decoded = _decode(cpu.code, entry, reads)
+    cache.decodes += 1
+    block = None if decoded is None else _build(cpu, entry, decoded, cache)
+    cache.kept[entry] = (block, tuple(reads), tuple(reads.values()),
+                         max(reads, default=-1))
+    return block
+
+
+def _unchanged(insns: List[Optional[Instruction]], kept: tuple) -> bool:
+    """Does each slot *kept* records hold the same object in *insns*
+    (None past the end, as :func:`_decode` reads it)?  The usual case,
+    every recorded index inside the code, compares in one pass in C."""
+    _block, indices, objects, top = kept
+    if top < len(insns):
+        return all(map(operator.is_, map(insns.__getitem__, indices),
+                       objects))
+    count = len(insns)
+    return all((insns[index] if index < count else None) is insn
+               for index, insn in zip(indices, objects))
+
+
+def _build(cpu, entry: int, decoded, cache: "BlockCache") -> BasicBlock:
+    """Build the trace decoded at *entry*: its handler is a copy of its
+    shape's code object with the block's constants patched in."""
     builder = _Builder(cpu, decoded)
     body, frame = builder.build()
     consts = builder.consts
@@ -961,15 +1009,8 @@ def compile_block(cpu, entry: int, cache: "BlockCache"
     else:
         code, order = stencil
         pool = code.co_consts + tuple(consts)
-        co_consts = tuple(map(pool.__getitem__, order))
-        # a block rebuilt unchanged after a flush keeps its code object,
-        # which Python has specialized while it ran
-        last = cache.patched.get(entry)
-        if last is None or last[0] is not code or \
-                last[1].co_consts != co_consts:
-            last = cache.patched[entry] = (code, code.replace(
-                co_consts=co_consts))
-        fn = FunctionType(last[1], namespace)
+        fn = FunctionType(code.replace(
+            co_consts=tuple(map(pool.__getitem__, order))), namespace)
     return BasicBlock(entry, fn, builder.max_retire, len(builder.pcs),
                       builder.tag)
 
@@ -980,29 +1021,33 @@ class BlockCache:
     Invalidation is version-based: every :class:`CodeSpace` mutation
     (Kessler patches, appended patch blocks, checkpoint restores) bumps
     ``code.version``, and the dispatch loop (``CPU._run_until``) flushes
-    the whole cache before its next lookup.  Whole-cache flushes keep
-    the invalidation rules trivially sound (no per-pc range bookkeeping
-    to get wrong), but they are not cheap: every entry is built again on
-    its next miss.  The shared shape table (:func:`_code`) lets a
-    rebuild skip Python's ``compile()`` for a shape seen before; a
-    block whose shape cannot be patched compiles its own source, which
-    :attr:`fallbacks` counts.  :attr:`patched` survives flushes: a
-    block rebuilt at the same pc from the same shape and constants
-    reuses its code object, warm, instead of a fresh copy that would
-    run unspecialized again (each reverse step flushes the cache).
+    the whole cache before its next lookup.  A flush drops only the
+    lookup table.  :attr:`kept` survives it: the last result built at
+    each entry pc, which :func:`compile_block` hands back on the next
+    miss there if the code slots it was decoded from are unchanged
+    (:attr:`revalidated` counts those), and otherwise rebuilds
+    (:attr:`decodes` counts those).  So a reverse step, which restores
+    the code it flushed, rebuilds nothing.  The shared shape table
+    (:func:`_code`) lets a rebuild skip Python's ``compile()`` for a
+    shape seen before; a block whose shape cannot be patched compiles
+    its own source, which :attr:`fallbacks` counts.  The cost model and
+    cache geometry a block bakes in are its CPU's, which never change.
     """
 
-    __slots__ = ("cpu", "blocks", "patched", "version", "decodes",
-                 "invalidations", "fallbacks", "runs", "retired")
+    __slots__ = ("cpu", "blocks", "kept", "version", "decodes",
+                 "revalidated", "invalidations", "fallbacks", "runs",
+                 "retired")
 
     def __init__(self, cpu):
         self.cpu = cpu
         self.blocks: Dict[int, Optional[BasicBlock]] = {}
-        #: entry pc -> (shape code, patched code) of the last block
-        #: built there; kept across flushes
-        self.patched: Dict[int, tuple] = {}
+        #: entry pc -> (block or None, the code slot indices its decode
+        #: read, the instructions found there, the highest index)
+        self.kept: Dict[int, tuple] = {}
         self.version = cpu.code.version
         self.decodes = 0
+        #: kept results handed back unchanged after a flush
+        self.revalidated = 0
         self.invalidations = 0
         #: blocks compiled from their own source, not patched from
         #: their shape's code object
@@ -1012,14 +1057,13 @@ class BlockCache:
         self.retired = 0
 
     def lookup(self, pc: int) -> Optional[BasicBlock]:
-        """The block at *pc*, compiled on a miss.  The caller has
+        """The block at *pc*; a miss goes to :func:`compile_block`,
+        which hands back the kept block or builds one.  The caller has
         already flushed the cache if ``code.version`` moved."""
         try:
             return self.blocks[pc]
         except KeyError:
-            block = compile_block(self.cpu, pc, self)
-            self.blocks[pc] = block
-            self.decodes += 1
+            block = self.blocks[pc] = compile_block(self.cpu, pc, self)
             return block
 
     def stats(self) -> Dict[str, int]:
@@ -1027,6 +1071,7 @@ class BlockCache:
             "cached_blocks": sum(1 for block in self.blocks.values()
                                  if block is not None),
             "decodes": self.decodes,
+            "revalidated": self.revalidated,
             "invalidations": self.invalidations,
             "fallbacks": self.fallbacks,
             "block_runs": self.runs,

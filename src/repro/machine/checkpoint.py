@@ -77,10 +77,10 @@ class Checkpoint:
         regs._resident, regs._spilled, regs.depth = self.window_counters
         cpu.mem.words = dict(self.memory_words)
         cpu.mem.brk = self.brk
-        cpu.code.insns[:] = self.code_insns
-        # the code space changed behind patch()/append_block(): force the
-        # basic-block cache to flush its compiled handlers
-        cpu.code.version += 1
+        # a new code version flushes the block cache; each block entered
+        # again is revalidated against its slots, so code restored as it
+        # was flushed is not rebuilt
+        cpu.code.restore(self.code_insns)
         cpu.cycles = self.cycles
         cpu.instructions = self.instructions
         cpu.loads = self.loads

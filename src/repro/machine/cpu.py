@@ -60,14 +60,20 @@ class SimulationLimit(SimulationError):
 class CodeSpace:
     """Instruction memory: a growable array of decoded instructions.
 
-    Dynamic code patching (Kessler-style write-check patches, §4) replaces
-    single entries with :meth:`patch` and appends patch bodies with
-    :meth:`append_block`.
+    Every slot changes through this class: the loader installs the
+    program with :meth:`append_block`, dynamic code patching
+    (Kessler-style write-check patches, §4) replaces single entries with
+    :meth:`patch` and appends patch bodies with :meth:`append_block`,
+    and a checkpoint puts its code back with :meth:`restore`.  An
+    instruction is replaced, never edited: once an object is in a slot,
+    nothing changes its fields.
 
     :attr:`version` counts mutations; the basic-block fast path
     (:mod:`repro.machine.blocks`) caches compiled blocks against it and
-    flushes whenever it changes.  Anything that mutates :attr:`insns`
-    outside this class (e.g. checkpoint restore) must bump it.
+    flushes whenever it changes, then revalidates each block it enters
+    again by the identity of the instructions in the slots it was
+    decoded from.  Both rules keep that sound: a slot change always
+    moves the version, and an unchanged object is unchanged code.
 
     :attr:`image` is the code as loaded (:func:`~repro.asm.loader.
     load_program` sets it); exported states and the replay state digest
@@ -115,6 +121,12 @@ class CodeSpace:
         self.insns.extend(insns)
         self.version += 1
         return addr
+
+    def restore(self, insns: List[Optional[Instruction]]) -> None:
+        """Replace every slot with *insns* (a checkpoint's code list),
+        dropping slots appended since."""
+        self.insns[:] = insns
+        self.version += 1
 
 
 class CPU:

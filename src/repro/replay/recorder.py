@@ -63,19 +63,26 @@ _WORD = 0xFFFFFFFF
 def state_digest(cpu) -> int:
     """CRC-32 digest of the machine state replay must reproduce.
 
-    Covers pc/npc, condition codes, the global registers, window depth,
-    the instruction/load/store counters, data memory and the code slots
+    Covers pc/npc, condition codes, the global registers, the outs and
+    locals of every register window, window depth, the
+    instruction/load/store counters, data memory and the code slots
     that differ from the program image — sensitive to any drift in the
-    executed path, and to a divergence confined to memory or patched
-    code.  Cheap enough for every keyframe: memory is a few hundred
-    words, and an unpatched code slot is one identity compare.
+    executed path, and to a divergence confined to registers, memory or
+    patched code.  Cheap enough for every keyframe: memory is a few
+    hundred words, and an unpatched code slot is one identity compare.
     """
     regs = cpu.regs
     data = struct.pack(">IIBBBBQQ", cpu.pc & _WORD, cpu.npc & _WORD,
                        cpu.icc_n & 1, cpu.icc_z & 1, cpu.icc_v & 1,
                        cpu.icc_c & 1, cpu.instructions, cpu.stores)
-    data += struct.pack(">%dI" % len(regs.globals),
-                        *[value & _WORD for value in regs.globals])
+    words = list(regs.globals)
+    window = regs._window
+    while window is not None:
+        words += window.outs
+        words += window.locals
+        window = window.parent
+    data += struct.pack(">%dI" % len(words),
+                        *[value & _WORD for value in words])
     data += struct.pack(">II", regs.depth & _WORD, cpu.loads & _WORD)
     crc = zlib.crc32(data)
     crc = zlib.crc32(memory_bytes(cpu.mem.words), crc)

@@ -72,7 +72,7 @@ __all__ = ["FORMAT_VERSION", "FrozenSession", "HibernationStore",
            "freeze_managed", "rebuild_managed"]
 
 MAGIC = b"RPRHIB1\n"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 #: refuse to parse headers larger than this (a torn length field must
 #: not make us allocate gigabytes)
 MAX_HEADER_BYTES = 1 << 24

@@ -21,14 +21,18 @@ from repro.debugger import Debugger
 from repro.eval.overhead import WorkloadBench
 from repro.eval.paper_data import TABLE1_COLUMNS
 from repro.isa.instructions import (ALU_OPS, ArithInsn, BranchInsn,
-                                    LoadInsn, MemAddress, NopInsn,
-                                    Operand2, SethiInsn, StoreInsn)
+                                    CallInsn, JmplInsn, LoadInsn,
+                                    MemAddress, NopInsn, Operand2,
+                                    SethiInsn, StoreInsn)
 from repro.machine import blocks
+from repro.machine.checkpoint import Checkpoint
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.cpu import SimulationLimit
 from repro.machine.memory import MemoryFault
+from repro.machine.state import encode_insn
 from repro.minic.codegen import compile_source
 from repro.replay import state_digest
+from repro.session import DebugSession
 from repro.workloads import WORKLOAD_ORDER, WORKLOADS, workload_source
 
 WORKLOAD_NAMES = ["023.eqntott", "030.matrix300", "008.espresso", "022.li",
@@ -249,6 +253,304 @@ class TestSharedCode:
         assert cache.blocks[heads[0]] is one
         assert cache.blocks[heads[1]] is two
         assert loaded.cpu.fast_stats()["fallbacks"] == 0
+
+
+#: a loop whose blocks read each kind of slot the decoder reads: the
+#: trace at ``loop`` runs through ``mid`` and follows ``call bump`` into
+#: ``bump``; the one at ``print`` stops at the ``ta`` at ``trap``; the
+#: one at ``tail`` fuses ``slot``, the delay slot of its ``bl``.  The
+#: two nops at ``hook`` leave room for a call and its delay slot.
+SLOTS = """
+\t.text
+\t.proc main
+main:
+\tsave %sp, -96, %sp
+\tmov 0, %l0
+\tmov 0, %l1
+loop:
+\tadd %l1, 3, %l1
+mid:
+\tadd %l1, 5, %l1
+\tcall bump
+\tnop
+print:
+\tmov %l1, %o0
+trap:
+\tta 1
+tail:
+\tadd %l1, 1, %l1
+hook:
+\tnop
+\tnop
+\tadd %l0, 1, %l0
+\tcmp %l0, 12
+\tbl loop
+slot:
+\tadd %l1, 2, %l1
+\tmov %l1, %i0
+\tret
+\trestore
+\t.endproc
+\t.proc bump
+bump:
+\tadd %l1, 7, %l1
+\tretl
+\tnop
+\t.endproc
+"""
+
+L1 = 17  # %l1
+
+
+def add_l1(value):
+    return ArithInsn("add", L1, Operand2.imm(value), L1)
+
+
+def retl():
+    return JmplInsn(15, Operand2.imm(8), 0)
+
+
+def block_image(block):
+    """What a compiled block is made of, for comparing two builds."""
+    if block is None:
+        return None
+    code = block.fn.__code__
+    return (block.entry, block.size, block.max_retire, block.tag,
+            code.co_code, code.co_consts, block.fn.__globals__["_PCS"])
+
+
+def assert_kept_blocks_fresh(cpu):
+    """Flush the cache as the dispatch loop does, then check that the
+    result handed back at every entry pc the cache keeps is the block a
+    fresh decode of the current code builds."""
+    cache = cpu.block_cache()
+    cache.blocks.clear()
+    cache.version = cpu.code.version
+    for pc in list(cache.kept):
+        fresh = blocks.compile_block(cpu, pc, blocks.BlockCache(cpu))
+        assert block_image(cache.lookup(pc)) == block_image(fresh), hex(pc)
+
+
+def replace_at(label, insn):
+    def mutate(loaded):
+        loaded.cpu.code.patch(loaded.program.labels[label], insn)
+    return mutate
+
+
+def fill_past_the_end(loaded):
+    """Call a routine appended at the end of the code while its return
+    is not there yet, decode the traces that reach it, then append the
+    return: both traces read a slot past the end that is now filled."""
+    cpu, labels = loaded.cpu, loaded.program.labels
+    routine = cpu.code.append_block([add_l1(11)])
+    cpu.code.patch(labels["hook"], CallInsn(routine))
+    if cpu.fast_path:
+        for pc in (labels["tail"], routine):
+            blocks.compile_block(cpu, pc, cpu.block_cache())
+    cpu.code.append_block([retl(), NopInsn()])
+
+
+def drop_by_restore(loaded):
+    """Run through an appended routine, then restore a checkpoint taken
+    before it was appended: the slots the routine's trace read are past
+    the end again."""
+    cpu, labels = loaded.cpu, loaded.program.labels
+    checkpoint = Checkpoint(cpu, loaded.output)
+    routine = cpu.code.append_block([add_l1(13), retl(), NopInsn()])
+    cpu.code.patch(labels["hook"], CallInsn(routine))
+    cpu.run_steps(60)
+    if cpu.fast_path:
+        blocks.compile_block(cpu, routine, cpu.block_cache())
+    checkpoint.restore(cpu, loaded.output)
+
+
+#: case -> (the mutation, the entry whose kept block it must replace)
+SLOT_CHANGES = {
+    "mid-trace": (replace_at("mid", add_l1(6)), "loop"),
+    "delay-slot": (replace_at("slot", add_l1(4)), "tail"),
+    "call-target": (replace_at("bump", add_l1(9)), "loop"),
+    "trace-end": (replace_at("trap", NopInsn()), "print"),
+    "past-the-end": (fill_past_the_end, "tail"),
+    "dropped-by-restore": (drop_by_restore, "tail"),
+}
+
+
+class TestRevalidation:
+    """After a flush, a kept block is handed back only while every code
+    slot its decode read holds the same instruction object, and what is
+    handed back is exactly the block a fresh decode would build."""
+
+    @pytest.mark.parametrize("case", sorted(SLOT_CHANGES))
+    def test_changed_slot_forces_a_rebuild(self, case):
+        mutate, entry = SLOT_CHANGES[case]
+        finals = []
+        for fast in (False, True):
+            loaded = load_program(assemble(SLOTS), fast_path=fast)
+            cpu = loaded.cpu
+            cpu.run_steps(40)                 # two passes: blocks kept
+            if fast:
+                labels = loaded.program.labels
+                stale = cpu.block_cache().kept[labels[entry]][0]
+                assert stale is not None
+            mutate(loaded)
+            loaded.run()
+            finals.append((loaded.output, cpu_state(cpu)))
+        assert finals[1] == finals[0]
+        kept = cpu.block_cache().kept
+        assert kept[labels[entry]][0] is not stale
+        assert cpu.fast_stats()["revalidated"] > 0
+        assert_kept_blocks_fresh(cpu)
+        if case == "trace-end":
+            # the ta ended the trace; the nop that replaced it does not
+            assert kept[labels[entry]][0].size > stale.size
+
+    def test_restore_of_identical_code_rebuilds_nothing(self):
+        spec = WORKLOADS["022.li"]
+        asm = compile_source(workload_source("022.li", 0.1), lang=spec.lang)
+        loaded = load_program(assemble(asm))
+        cpu = loaded.cpu
+        cpu.run_steps(5000)
+        checkpoint = Checkpoint(cpu, loaded.output)
+        cpu.run_steps(20000)
+        state, before = cpu_state(cpu), cpu.fast_stats()
+        checkpoint.restore(cpu, loaded.output)
+        cpu.run_steps(20000)
+        after = cpu.fast_stats()
+        assert cpu_state(cpu) == state
+        assert after["invalidations"] == before["invalidations"] + 1
+        # every block the second pass enters was kept from the first
+        assert after["decodes"] == before["decodes"]
+        assert after["revalidated"] > before["revalidated"] + 20
+        assert_kept_blocks_fresh(cpu)
+
+
+class LoggedSlots(list):
+    """A code list that logs the index of every slot read from it."""
+
+    def __init__(self, insns):
+        super().__init__(insns)
+        self.read = set()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.read.update(range(*index.indices(len(self))))
+        else:
+            self.read.add(index if index >= 0 else index + len(self))
+        return super().__getitem__(index)
+
+
+def _reads_every_slot(name):
+    method = getattr(list, name)
+
+    def logged(self, *args):
+        self.read.update(range(len(self)))
+        return method(self, *args)
+    return logged
+
+
+for _name in ("__iter__", "__reversed__", "__contains__", "index", "count",
+              "copy"):
+    setattr(LoggedSlots, _name, _reads_every_slot(_name))
+
+
+class TestDecodeRecordsItsReads:
+    """Revalidation compares only the slots a decode recorded, so a
+    block must depend on no other slot.  This probe fails if the block
+    compiler reads code some other way."""
+
+    @pytest.mark.parametrize("strategy, mode",
+                             [("BitmapInline", None),
+                              ("BitmapInlineRegisters", "full")])
+    def test_every_slot_read_is_recorded(self, strategy, mode):
+        spec = WORKLOADS["022.li"]
+        asm = compile_source(workload_source("022.li", 0.02),
+                             lang=spec.lang)
+        plan = pipeline.build_plan(asm, mode=mode)[1] if mode else None
+        session = DebugSession.from_asm(asm, strategy=strategy, plan=plan)
+        cpu = session.cpu
+        patches = session.mrs.patches
+        for site in list(patches.patchable):  # Kessler patches in place
+            patches.activate(site, "probe")
+        code = cpu.code
+        code.insns = logged = LoggedSlots(code.insns)
+        cache = blocks.BlockCache(cpu)
+        entries = range(code.base, code.limit + 8, 4)
+        for pc in entries:
+            logged.read.clear()
+            blocks.compile_block(cpu, pc, cache)
+            _block, indices, objects, _top = cache.kept[pc]
+            assert logged.read <= set(indices), hex(pc)
+            assert objects == tuple(
+                list.__getitem__(logged, index) if index < len(logged)
+                else None for index in indices)
+        assert cache.decodes == len(entries)
+        assert sum(kept[0] is not None for kept in cache.kept.values()) \
+            > len(entries) // 2
+        # unchanged code: every entry is handed back, none decoded again
+        for pc in entries:
+            assert blocks.compile_block(cpu, pc, cache) is cache.kept[pc][0]
+        assert cache.decodes == len(entries)
+        assert cache.revalidated == len(entries)
+
+
+class TestReplacedNotEdited:
+    """Revalidation compares instruction objects by identity, so an
+    object in a code slot must never change: one debugger session runs
+    through every operation that changes code, and each object seen in
+    a slot must still encode to the bytes it had when first seen."""
+
+    def test_installed_instructions_never_change(self):
+        source = """
+        int total;
+        int grid[8];
+        int bump(int k) { total = total + k; return total; }
+        int main() {
+            register int i;
+            for (i = 0; i < 6; i = i + 1) { bump(i); grid[i] = total; }
+            print(total);
+            return 0;
+        }
+        """
+        debugger = Debugger.for_source(source, optimize="full")
+        seen = {}
+
+        def note():
+            for insn in debugger.cpu.code.insns:
+                if insn is not None and id(insn) not in seen:
+                    seen[id(insn)] = (insn, encode_insn(insn))
+
+        def run_to_exit():
+            while debugger.run() != "exited":
+                note()
+
+        note()
+        watch = debugger.watch("total")            # Kessler activation
+        note()
+        debugger.record(stride=50)
+        breakpoint = debugger.break_at("bump")
+        note()
+        assert debugger.run() == "breakpoint:bump"
+        debugger.clear_breakpoint(breakpoint)
+        note()
+        run_to_exit()
+        assert debugger.reverse_continue() == "watch"
+        note()
+        assert debugger.last_write("grid[2]").source == "scan"
+        note()
+        debugger.unwatch(watch)                    # Kessler deactivation
+        note()
+        snapshot = debugger.checkpoint()
+        debugger.step(30)
+        note()
+        debugger.restore(snapshot)
+        note()
+        debugger.watch("grid[1]")
+        run_to_exit()
+        note()
+        assert len(seen) > len(debugger.cpu.code.insns)
+        edited = [insn for insn, record in seen.values()
+                  if encode_insn(insn) != record]
+        assert edited == []
 
 
 TWO_LOOPS = """

@@ -197,11 +197,11 @@ class TestHibernationStore:
         """A file in a previous layout, intact down to its sha256
         trailer, is refused rather than misread."""
         store = HibernationStore(hdir)
-        for old_version in (1, 2, 3, 4):
+        for old_version in (1, 2, 3, 4, 5):
             monkeypatch.setattr(hibernate, "FORMAT_VERSION", old_version)
             store.save(sample_frozen())
             monkeypatch.undo()
-            assert FORMAT_VERSION == 5
+            assert FORMAT_VERSION == 6
             with pytest.raises(HibernationError) as excinfo:
                 store.load("s1")
             assert excinfo.value.reason == "format"

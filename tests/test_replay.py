@@ -554,6 +554,20 @@ class TestDivergenceDetection:
         assert excinfo.value.context["index"] == recorder.keyframes[2].index
         assert excinfo.value.expected["pc"] == excinfo.value.observed["pc"]
 
+    def test_window_register_divergence_raises_on_landing(self):
+        """One flipped %l in a keyframe's checkpoint: travel that lands
+        on that keyframe by restore alone checks only the state digest,
+        so only its register-window coverage sees the flip."""
+        debugger, recorder, _w = record_run(stride=100)
+        assert len(recorder.keyframes) > 2
+        keyframe = recorder.keyframes[1]
+        _outs, locals_ = keyframe.checkpoint[0].windows[0]
+        locals_[0] ^= 1
+        with pytest.raises(DivergenceError) as excinfo:
+            ReplayController(debugger, recorder).travel_to(keyframe.index)
+        assert excinfo.value.context["index"] == keyframe.index
+        assert excinfo.value.expected["pc"] == excinfo.value.observed["pc"]
+
     def test_divergence_error_carries_expected_and_observed(self):
         error = DivergenceError("drift", expected_pc=1, observed_pc=2,
                                 index=7)
