@@ -55,7 +55,7 @@ def main():
     session.run()
 
     print("program output:", " ".join(session.output))
-    print("monitored accesses:", len(session.mrs.hits),
+    print("monitored accesses:", session.mrs.hit_count(),
           "(reads and writes)")
     for offset in anomalies:
         print("ANOMALY: read of uninitialized heap word at offset %d"

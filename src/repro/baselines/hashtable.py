@@ -115,7 +115,6 @@ class HashTableMrs(MonitoredRegionService):
 
     def __init__(self, loaded, instrumentation):
         self._node_next = HASH_NODE_BASE
-        self._nodes = {}
         super().__init__(loaded, instrumentation)
 
     def _bucket_entry(self, word_addr: int) -> int:
@@ -133,7 +132,6 @@ class HashTableMrs(MonitoredRegionService):
             mem.write_word(node, addr)
             mem.write_word(node + 4, mem.read_word(entry))
             mem.write_word(entry, node)
-            self._nodes[addr] = node
         return region
 
     def delete_region(self, region: MonitoredRegion) -> None:
@@ -152,4 +150,3 @@ class HashTableMrs(MonitoredRegionService):
             for which, node in enumerate(chain):
                 nxt = chain[which + 1] if which + 1 < len(chain) else 0
                 mem.write_word(node + 4, nxt)
-            self._nodes.pop(addr, None)

@@ -2,11 +2,15 @@
 
 ``PatchManager`` owns the runtime half of write-check elimination: when
 ``PreMonitor`` (or a loop pre-header hit) needs an eliminated check
-back, the manager replaces the write instruction with an annulled
-branch to its pre-assembled patch block, and restores the original
-instruction once the last activation reason is dropped.  Activations
-are reference-counted per (site, reason) exactly as the service always
-did; the manager adds two robustness properties:
+back, the manager replaces the write instruction with the site's
+annulled branch to its pre-assembled patch block
+(``SiteRuntimeInfo.patch_insn``, built once per site, so every install
+puts back the same object and compiled blocks that read it stay valid),
+and restores the original instruction once the last activation reason
+is dropped.  Activations are reference-counted per (site, reason) in
+:attr:`PatchManager.reasons`, which is the only record of what is
+active: a site is patched exactly when it has a reason.  The manager
+adds two robustness properties:
 
 * **fault injection**: installs and removals call
   :data:`~repro.faults.PATCH_INSTALL` / :data:`~repro.faults.PATCH_REMOVE`
@@ -14,9 +18,8 @@ did; the manager adds two robustness properties:
   be provoked deterministically in tests;
 * **journaling**: when the caller passes an
   :class:`~repro.core.transactions.UndoJournal`, every mutation
-  (refcount dicts, code-space slot, ``SiteRuntimeInfo.active``) is
-  recorded first, so a failed multi-site ``PreMonitor`` rolls back to a
-  bit-identical patch state.
+  (refcount dicts, code-space slot) is recorded first, so a failed
+  multi-site ``PreMonitor`` rolls back to a bit-identical patch state.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Dict, List, Optional
 
 from repro.core.transactions import UndoJournal
 from repro.faults import FaultPlan, PATCH_INSTALL, PATCH_REMOVE
-from repro.isa import instructions as I
 
 
 class PatchManager:
@@ -65,11 +67,7 @@ class PatchManager:
         if not reasons:
             if journal is not None:
                 journal.record_code(self.cpu.code, info.addr)
-                journal.record_attr(info, "active")
-            branch = I.BranchInsn("a", info.patch_addr, annul=True)
-            branch.tag = "patch"
-            self.cpu.code.patch(info.addr, branch)
-            info.active = True
+            self.cpu.code.patch(info.addr, info.patch_insn)
         reasons[reason] = reasons.get(reason, 0) + 1
 
     def deactivate(self, site: int, reason: str,
@@ -97,15 +95,5 @@ class PatchManager:
         if not reasons:
             if journal is not None:
                 journal.record_code(self.cpu.code, info.addr)
-                journal.record_attr(info, "active")
             self.cpu.code.patch(info.addr, info.original_insn)
-            info.active = False
             del self.reasons[site]
-
-    # -- checkpoint support ------------------------------------------------
-
-    def sync_active_flags(self) -> None:
-        """Make ``SiteRuntimeInfo.active`` agree with the refcounts
-        (used after checkpoint restore rewrites code space)."""
-        for site, info in self.patchable.items():
-            info.active = site in self.reasons

@@ -13,11 +13,16 @@ intersect a monitored region", which makes the MRS restore the
 eliminated in-loop checks.  That is always sound and only costs
 performance when a region shares a 32 MB superpage with the loop's
 target range.
+
+The table in debuggee memory is the only copy of the counts: adding or
+removing a region reads each of its superpages' counts from there and
+writes it back adjusted, and the host-side range check reads the same
+words the generated code loads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Iterator, Optional
 
 from repro.core.layout import MonitorLayout
 from repro.core.regions import MonitoredRegion
@@ -31,40 +36,31 @@ class SuperpageIndex:
     def __init__(self, memory: Memory, layout: MonitorLayout):
         self.memory = memory
         self.layout = layout
-        self._counts: Dict[int, int] = {}
 
-    def _superpages(self, region: MonitoredRegion) -> range:
-        first = self.layout.superpage_of(region.start)
-        last = self.layout.superpage_of(region.end - 1)
-        return range(first, last + 1)
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        """The table entries of the superpages [lo, hi] touches."""
+        first = self.layout.superpage_of(lo)
+        last = self.layout.superpage_of(hi)
+        return map(self.layout.superpage_entry, range(first, last + 1))
 
     def add_region(self, region: MonitoredRegion,
                    journal: Optional[UndoJournal] = None) -> None:
-        for page in self._superpages(region):
-            count = self._counts.get(page, 0) + 1
-            if journal is not None:
-                journal.record_dict_entry(self._counts, page)
-                journal.record_memory_word(
-                    self.memory, self.layout.superpage_entry(page))
-            self._counts[page] = count
-            self.memory.write_word(self.layout.superpage_entry(page), count)
+        self._adjust(region, 1, journal)
 
     def remove_region(self, region: MonitoredRegion,
                       journal: Optional[UndoJournal] = None) -> None:
-        for page in self._superpages(region):
-            count = self._counts.get(page, 0) - 1
+        self._adjust(region, -1, journal)
+
+    def _adjust(self, region: MonitoredRegion, delta: int,
+                journal: Optional[UndoJournal]) -> None:
+        for entry in self._entries(region.start, region.end - 1):
+            count = self.memory.read_word(entry) + delta
             if count < 0:
                 raise ValueError("superpage count underflow")
             if journal is not None:
-                journal.record_dict_entry(self._counts, page)
-                journal.record_memory_word(
-                    self.memory, self.layout.superpage_entry(page))
-            self._counts[page] = count
-            self.memory.write_word(self.layout.superpage_entry(page), count)
+                journal.record_memory_word(self.memory, entry)
+            self.memory.write_word(entry, count)
 
     def range_may_hit(self, lo: int, hi: int) -> bool:
         """Host-side mirror of the generated range check."""
-        first = self.layout.superpage_of(lo)
-        last = self.layout.superpage_of(hi)
-        return any(self._counts.get(page, 0) for page in
-                   range(first, last + 1))
+        return any(map(self.memory.read_word, self._entries(lo, hi)))

@@ -5,6 +5,13 @@ monitor data structures inside the debuggee (segmented bitmap, superpage
 counts), the reserved-register state, the monitor-hit trap handlers, and
 dynamic code patching (Kessler patches for eliminated checks, §4).
 
+Its state has one copy each.  The bitmap, its segment table and the
+superpage counts live in debuggee memory, the disabled flag is ``%g2``
+(:attr:`enabled` only reads it), and the host keeps only what the
+debuggee does not hold: the region set, the patch refcounts, the
+segments' arena addresses and a count of notifications delivered.  The
+notifications themselves go to the §2 callbacks, not into a list.
+
 Interface, following the paper:
 
 * :meth:`create_region` / :meth:`delete_region` — the §2
@@ -12,7 +19,8 @@ Interface, following the paper:
 * :meth:`add_callback` — registers a §2 ``NotificationCallBack``;
 * :meth:`pre_monitor` / :meth:`post_monitor` — the §4.2 operations that
   re-insert / remove checks on *known* write instructions for a symbol;
-* :meth:`enable` / :meth:`disable` — the global disabled flag (§2.1).
+* :meth:`enable` / :meth:`disable` — the global disabled flag (§2.1),
+  held in ``%g2``.
 
 Every one of those entry points is **transactional**: mutations are
 journaled (:mod:`repro.core.transactions`) and any failure — injected
@@ -28,7 +36,7 @@ before any mutation (overlap, alignment, unknown region) still raise
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.asm.loader import LoadedProgram
 from repro.core.bitmap import SegmentedBitmap
@@ -79,10 +87,9 @@ class MonitoredRegionService:
         self.regions = RegionSet()
         self.patches = PatchManager(self.cpu, instrumentation.patchable,
                                     faults=faults)
-        #: every (addr, size, is_read) notification, in order
-        self.hits: List[Tuple[int, int, bool]] = []
+        #: notifications delivered so far
+        self.hits = 0
         self.callbacks: List[NotificationCallBack] = []
-        self.enabled = False
         #: serialises the public entry points: the region set, bitmap,
         #: superpage counts and patch table are shared mutable state, so
         #: concurrent server sessions driving one service must not
@@ -115,7 +122,7 @@ class MonitoredRegionService:
         code = cpu.regs.read(_G6)
         size = code & 0xFF
         is_read = bool(code & 0x100)
-        self.hits.append((addr, size, is_read))
+        self.hits += 1
         for callback in self.callbacks:
             callback(addr, size, is_read)
 
@@ -150,16 +157,19 @@ class MonitoredRegionService:
         with self._lock:
             self.callbacks.append(callback)
 
+    @property
+    def enabled(self) -> bool:
+        """Is the global disabled flag (``%g2``) clear?"""
+        return self.cpu.regs.read(_G2) == 0
+
     def enable(self) -> None:
         with self._lock:
             self.cpu.regs.write(_G2, 0)
-            self.enabled = True
 
     def disable(self) -> None:
         """Set the global disabled flag (§2.1).  Idempotent."""
         with self._lock:
             self.cpu.regs.write(_G2, 1)
-            self.enabled = False
 
     def _rollback(self, journal: UndoJournal) -> None:
         """Undo a failed operation with fault injection suspended, so a
@@ -346,7 +356,7 @@ class MonitoredRegionService:
     # -- introspection -------------------------------------------------------------
 
     def hit_count(self) -> int:
-        return len(self.hits)
+        return self.hits
 
     def space_overhead(self) -> Tuple[int, int]:
         """(bitmap bytes allocated, program data+text bytes) for §3."""

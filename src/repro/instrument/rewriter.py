@@ -34,9 +34,12 @@ def _parse_tagged(lines: List[str], tag: str) -> List[Statement]:
 
 
 class SiteRuntimeInfo:
-    """Post-assembly info needed to patch one eliminated site."""
+    """Post-assembly info needed to patch one eliminated site: the
+    original write and the one ``ba,a`` to its patch block that every
+    activation installs in its place."""
 
-    __slots__ = ("site", "addr", "patch_addr", "original_insn", "active")
+    __slots__ = ("site", "addr", "patch_addr", "original_insn",
+                 "patch_insn")
 
     def __init__(self, site: int, addr: int, patch_addr: int,
                  original_insn: I.Instruction):
@@ -44,7 +47,8 @@ class SiteRuntimeInfo:
         self.addr = addr
         self.patch_addr = patch_addr
         self.original_insn = original_insn
-        self.active = False
+        self.patch_insn = I.BranchInsn("a", patch_addr, annul=True)
+        self.patch_insn.tag = "patch"
 
 
 class InstrumentResult:

@@ -7,9 +7,18 @@ chain), data memory, code space (with any dynamic patches), control
 state, and — optionally — the monitored region service's host-side
 bookkeeping, so watchpoints can be *changed* between replays.
 
+The MRS's monitor tables (bitmap, segment table, superpage counts) and
+its disabled flag ``%g2`` live in the debuggee, so memory and registers
+already carry them.  The MRS snapshot holds only the five things the
+debuggee does not: the region spans, the notification count, the patch
+refcounts, the segments' arena addresses and the arena's next free
+address.  Restoring the refcounts needs nothing more, because a site is
+active exactly when it has a refcount and the code slots rewind with
+code space.
+
 In memory a checkpoint holds a copy of the memory dict and of the code
-list, and the MRS bookkeeping as plain data (region spans, hit tuples,
-refcount pairs) — no live region objects.  What leaves the process is
+list, and the MRS snapshot as plain data (region spans, refcount and
+address pairs) — no live region objects.  What leaves the process is
 :mod:`repro.machine.state`'s encoding of it: memory as packed words,
 code as the slots that differ from the program image.
 
@@ -126,15 +135,11 @@ def _snapshot_mrs(mrs) -> Dict:
     bitmap = mrs.bitmap
     return {
         "regions": [region.key() for region in mrs.regions],
-        "hits": list(mrs.hits),
+        "hits": mrs.hits,
         "active_reasons": [(site, list(reasons.items()))
                            for site, reasons in mrs.patches.reasons.items()],
         "segments": list(bitmap._segments.items()),
-        "word_counts": list(bitmap._word_counts.items()),
-        "region_counts": list(bitmap.region_counts.items()),
         "arena_next": bitmap._arena_next,
-        "superpages": list(mrs.superpages._counts.items()),
-        "enabled": mrs.enabled,
     }
 
 
@@ -145,16 +150,9 @@ def _restore_mrs(mrs, state: Dict) -> None:
     for start, size in state["regions"]:
         regions.add(MonitoredRegion(start, size))
     mrs.regions = regions
-    mrs.hits = list(state["hits"])
+    mrs.hits = state["hits"]
     mrs.patches.reasons = {site: dict(reasons)
                            for site, reasons in state["active_reasons"]}
     bitmap = mrs.bitmap
     bitmap._segments = dict(state["segments"])
-    bitmap._word_counts = dict(state["word_counts"])
-    bitmap.region_counts = dict(state["region_counts"])
     bitmap._arena_next = state["arena_next"]
-    mrs.superpages._counts = dict(state["superpages"])
-    mrs.enabled = state["enabled"]
-    # code space was rewound above; make the per-site active flags agree
-    # with the restored activation refcounts
-    mrs.patches.sync_active_flags()

@@ -33,11 +33,13 @@ Layouts, integers big-endian::
 
 The control JSON holds pc/npc, condition codes, registers and windows,
 counters, per-tag statistics and the monitored region service's
-bookkeeping as the plain data :class:`Checkpoint` captures.  Memory
-keeps its exact key set, zero-valued words included.  Encodings are
-canonical: the decoders accept only bytes the encoders produce, so
-equal states have equal bytes and the store deduplicates payloads by
-digest.
+bookkeeping as the plain data :class:`Checkpoint` captures: region
+spans, a notification count, patch refcounts, segment arena addresses
+and the arena's next address (the monitor tables themselves travel in
+memory).  Memory keeps its exact key set, zero-valued words included.
+Encodings are canonical: the decoders accept only bytes the encoders
+produce, so equal states have equal bytes and the store deduplicates
+payloads by digest.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ __all__ = ["VERSION", "ProgramImage", "encode_insn",
            "state_image", "memory_bytes", "patch_bytes"]
 
 #: encoding generation of instructions, images and states
-VERSION = 2
+VERSION = 3
 #: a cache line holding no tag
 _EMPTY_LINE = 0xFFFFFFFF
 
@@ -410,7 +412,6 @@ def decode_state(data: bytes, image: ProgramImage) -> Checkpoint:
     if checkpoint.mrs_state is not None:
         mrs = checkpoint.mrs_state
         mrs["regions"] = [tuple(region) for region in mrs["regions"]]
-        mrs["hits"] = [tuple(hit) for hit in mrs["hits"]]
         if not _disjoint(mrs["regions"]):
             raise _error("state has overlapping monitored regions")
     (words,) = reader.unpack(_U32)
@@ -511,14 +512,10 @@ def _region(value) -> bool:
         and value[1] > 0 and not value[1] & 3
 
 
-#: MRS tables map segments, pages and sites to counts or
-#: addresses: never negative
-_PAIRS = _list(_row(_count, _count))
 _MRS_SCHEMA = _record(
-    regions=_list(_region), hits=_list(_row(_word_value, _count, _flag)),
+    regions=_list(_region), hits=_count,
     active_reasons=_list(_row(_count, _list(_row(_text, _count)))),
-    segments=_PAIRS, word_counts=_PAIRS, region_counts=_PAIRS,
-    arena_next=_word_value, superpages=_PAIRS, enabled=_flag)
+    segments=_list(_row(_count, _word_value)), arena_next=_word_value)
 _CONTROL_SCHEMA = _record(
     pc=_word_value, npc=_word_value, icc=_list(_bit, 4),
     globals=_list(_word_value, NUM_GLOBALS),

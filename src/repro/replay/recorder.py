@@ -63,10 +63,11 @@ _WORD = 0xFFFFFFFF
 def state_digest(cpu) -> int:
     """CRC-32 digest of the machine state replay must reproduce.
 
-    Covers pc/npc, condition codes, the global registers, the outs and
-    locals of every register window, window depth, the
-    instruction/load/store counters, data memory and the code slots
-    that differ from the program image — sensitive to any drift in the
+    Covers pc/npc, condition codes, the global registers, the monitor
+    registers %m0-%m3 (the MRS segment caches), the outs and locals of
+    every register window, window depth, the instruction/load/store
+    counters, data memory and the code slots that differ from the
+    program image — sensitive to any drift in the
     executed path, and to a divergence confined to registers, memory or
     patched code.  Cheap enough for every keyframe: memory is a few
     hundred words, and an unpatched code slot is one identity compare.
@@ -75,7 +76,7 @@ def state_digest(cpu) -> int:
     data = struct.pack(">IIBBBBQQ", cpu.pc & _WORD, cpu.npc & _WORD,
                        cpu.icc_n & 1, cpu.icc_z & 1, cpu.icc_v & 1,
                        cpu.icc_c & 1, cpu.instructions, cpu.stores)
-    words = list(regs.globals)
+    words = regs.globals + regs.monitors
     window = regs._window
     while window is not None:
         words += window.outs

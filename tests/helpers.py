@@ -17,6 +17,15 @@ def run_asm(source: str, **kwargs):
     return run_source(source, **kwargs)
 
 
+def notifications(mrs) -> List[Tuple[int, int, bool]]:
+    """Register a §2 ``NotificationCallBack`` on *mrs*; returns the list
+    it fills with each (addr, size, is_read) notification, in order."""
+    seen: List[Tuple[int, int, bool]] = []
+    mrs.add_callback(lambda addr, size, is_read:
+                     seen.append((addr, size, is_read)))
+    return seen
+
+
 def oracle_hits(write_trace, regions: List[Tuple[int, int]]
                 ) -> List[Tuple[int, int]]:
     """Expected (addr, size) notifications for the given write trace."""
@@ -66,12 +75,13 @@ def check_soundness(c_source: str, strategy: str,
     session.mrs.enable()
     for start, size in regions:
         session.mrs.create_region(start, size)
+    hits = notifications(session.mrs)
     exit_code = session.run()
     assert exit_code == 0
     assert session.output == base.output
 
     expected = oracle_hits(base.cpu.write_trace, regions)
-    got = [(addr, size) for addr, size, _read in session.mrs.hits]
+    got = [(addr, size) for addr, size, _read in hits]
     assert got == expected, (
         "strategy %s: %d hits, expected %d" %
         (strategy, len(got), len(expected)))

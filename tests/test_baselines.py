@@ -14,6 +14,8 @@ from repro.machine.cpu import SimulationLimit
 from repro.minic.codegen import compile_source
 from repro.session import DebugSession, run_uninstrumented
 
+from helpers import notifications
+
 PROGRAM = """
 int data[8];
 int other;
@@ -196,10 +198,11 @@ class TestHashTable:
         target = session.program.symtab.lookup("data")
         session.mrs.enable()
         session.mrs.create_region(target.address + 8, 8)
+        hits = notifications(session.mrs)
         session.run()
         expected = [(a, w) for _s, a, w in base.cpu.write_trace
                     if target.address + 8 <= a < target.address + 16]
-        assert [(a, s) for a, s, _r in session.mrs.hits] == expected
+        assert [(a, s) for a, s, _r in hits] == expected
 
     def test_delete_unlinks_chain(self):
         asm, base = asm_and_baseline()

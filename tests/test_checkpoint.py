@@ -7,6 +7,8 @@ from repro.machine.checkpoint import Checkpoint
 from repro.minic.codegen import compile_source
 from repro.session import DebugSession
 
+from helpers import notifications
+
 PROGRAM = """
 int grid[8];
 int steps;
@@ -111,26 +113,31 @@ class TestMonitorRoundTrip:
         session.mrs.create_region(sym.address, 4)
         snapshot = Checkpoint(session.cpu, output=session.output,
                               mrs=session.mrs)
+        hits = notifications(session.mrs)
         assert session.run() == 0
-        first_hits = list(session.mrs.hits)
+        first_hits = list(hits)
         first_output = list(session.output)
         assert len(first_hits) == 5
+        assert session.mrs.hit_count() == 5
 
         snapshot.restore(session.cpu, output=session.output,
                          mrs=session.mrs)
-        assert session.mrs.hits == []
+        assert session.mrs.hit_count() == 0
+        hits.clear()
         assert session.cpu.run() == 0
-        assert session.mrs.hits == first_hits
+        assert hits == first_hits
         assert session.output == first_output
 
     def test_pending_patches_survive_restore(self):
         """A patch activated before the snapshot must still be active —
-        code *and* per-site flags — after a restore that crosses a
+        code *and* activation refcounts — after a restore that crosses a
         deactivation."""
         session = self._optimized_session()
         session.mrs.pre_monitor("steps")
         active = list(session.mrs.active_sites())
         assert active
+        reasons = {site: dict(counts) for site, counts
+                   in session.mrs.patches.reasons.items()}
         patched = {site: session.cpu.code.at(
             session.mrs.inst.patchable[site].addr) for site in active}
         snapshot = Checkpoint(session.cpu, mrs=session.mrs)
@@ -138,9 +145,9 @@ class TestMonitorRoundTrip:
         assert not session.mrs.active_sites()
         snapshot.restore(session.cpu, mrs=session.mrs)
         assert session.mrs.active_sites() == active
+        assert session.mrs.patches.reasons == reasons
         for site in active:
             info = session.mrs.inst.patchable[site]
-            assert info.active
             assert session.cpu.code.at(info.addr) is patched[site]
         # and the patches still work: deactivation restores the original
         session.mrs.post_monitor("steps")

@@ -171,19 +171,23 @@ _region_spec = st.tuples(
        deletions=st.lists(st.booleans(), min_size=12, max_size=12))
 def test_bitmap_matches_interval_oracle(specs, probes, deletions):
     """Random create/delete sequences: the segmented bitmap answers
-    membership exactly like the naive region set."""
+    membership exactly like the naive region set, and each touched
+    segment's table entry in memory is null exactly when no region
+    lies in that segment (the segment table is the only copy of the
+    unmonitored flag)."""
     memory = Memory()
     layout = MonitorLayout()
     bitmap = SegmentedBitmap(memory, layout)
     oracle = RegionSet()
     created = []
+    touched = set()
     for start, size in specs:
         region = MonitoredRegion(start, size)
         try:
             oracle.add(region)
         except RegionError:
             continue  # overlapping spec: skip (regions must not overlap)
-        bitmap.set_region(region)
+        touched |= bitmap.set_region(region)
         created.append(region)
     for region, delete in zip(list(created), deletions):
         if delete:
@@ -193,31 +197,62 @@ def test_bitmap_matches_interval_oracle(specs, probes, deletions):
         addr = 0x10000 + 4 * probe
         assert bitmap.is_monitored(addr) == oracle.hit(addr, 1), \
             hex(addr)
+    for segment in touched:
+        lo = segment * layout.segment_bytes
+        pointer = memory.read_word(layout.seg_table_entry(segment))
+        if oracle.intersects_range(lo, lo + layout.segment_bytes - 1):
+            assert pointer == bitmap._segments[segment], segment
+        else:
+            assert pointer == 0, segment
 
 
 @settings(max_examples=40, deadline=None)
 @given(specs=st.lists(_region_spec, min_size=1, max_size=8),
        lo_word=st.integers(min_value=0, max_value=4200),
-       span=st.integers(min_value=0, max_value=600))
-def test_superpage_index_is_conservative(specs, lo_word, span):
+       span=st.integers(min_value=0, max_value=600),
+       deletions=st.lists(st.booleans(), min_size=8, max_size=8),
+       straddle=st.booleans())
+def test_superpage_index_is_conservative(specs, lo_word, span, deletions,
+                                         straddle):
     """The superpage range check never misses: if any region intersects
     [lo, hi], range_may_hit must be True (it may be conservatively True
-    otherwise)."""
+    otherwise).  After random creates and deletes, each superpage's
+    count in memory equals the number of regions touching that
+    superpage; with *straddle*, addresses fold onto the 512 bytes
+    around a superpage boundary, so regions often cross it."""
+    def place(addr):
+        if straddle:
+            return (1 << 25) - 0x100 + (addr - 0x10000) % 0x200
+        return addr
     memory = Memory()
     layout = MonitorLayout()
     index = SuperpageIndex(memory, layout)
     oracle = RegionSet()
+    created = []
     for start, size in specs:
-        region = MonitoredRegion(start, size)
+        region = MonitoredRegion(place(start), size)
         try:
             oracle.add(region)
         except RegionError:
             continue
         index.add_region(region)
-    lo = 0x10000 + 4 * lo_word
+        created.append(region)
+    for region, delete in zip(list(created), deletions):
+        if delete:
+            oracle.remove(region)
+            index.remove_region(region)
+    lo = place(0x10000 + 4 * lo_word)
     hi = lo + 4 * span
     if oracle.intersects_range(lo, hi):
         assert index.range_may_hit(lo, hi)
+
+    def pages(region):
+        return range(layout.superpage_of(region.start),
+                     layout.superpage_of(region.end - 1) + 1)
+    for page in {page for region in created for page in pages(region)}:
+        expected = sum(page in pages(region) for region in oracle)
+        assert memory.read_word(layout.superpage_entry(page)) == \
+            expected, page
 
 
 class TestSuperpageIndex:

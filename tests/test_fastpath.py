@@ -779,7 +779,7 @@ class TestNoFallbacks:
     def test_unfolded_constants_fall_back_bit_exact(self, monkeypatch):
         # a builder that leaves a constant base plus a displacement for
         # Python to fold: the shape cannot be patched, so each such
-        # block compiles its own source
+        # block is refused and the slow loop runs its entry
         def unfolded(self, a, b):
             return "(%s + %s) & 4294967295" % (self.src(a), self.src(b))
 
@@ -787,13 +787,14 @@ class TestNoFallbacks:
         body = set_word(GEN_BASE, 1) + [
             LoadInsn(4, MemAddress(1, imm=8), 8),
             StoreInsn(4, 8, MemAddress(1, imm=-4))]
-        program, _entry = generated_program(
+        program, entry = generated_program(
             (list(range(14)), body, "e", False, NopInsn()))
         slow, slow_run = run_generated(program, fast=False)
         fast, fast_run = run_generated(program, fast=True)
         assert fast == slow
         assert cpu_state(fast_run.cpu) == cpu_state(slow_run.cpu)
         assert fast_run.cpu.fast_stats()["fallbacks"] >= 1
+        assert fast_run.cpu.block_cache().blocks[entry] is None
 
 
 SEEDED_SOURCE = """

@@ -15,7 +15,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_hits
+from helpers import notifications, oracle_hits
 from repro.core.regions import MonitoredRegion
 from repro.errors import (InjectedFault, MrsTransactionError, ReproError)
 from repro.faults import (BITMAP_ALLOC, BITMAP_PUBLISH, FaultPlan,
@@ -82,14 +82,10 @@ def _fingerprint(session):
         tuple(cpu.code.insns),
         tuple(sorted(r.key() for r in mrs.regions)),
         dict(mrs.bitmap._segments),
-        dict(mrs.bitmap._word_counts),
-        dict(mrs.bitmap.region_counts),
         mrs.bitmap._arena_next,
-        dict(mrs.superpages._counts),
         copy.deepcopy(mrs.patches.reasons),
         tuple(cpu.regs.globals),
         tuple(cpu.regs.monitors),
-        tuple(info.active for info in mrs.inst.patchable.values()),
     )
 
 
@@ -215,9 +211,10 @@ class TestRecovery:
         # the retry — the client-visible recovery story — succeeds
         session.mrs.create_region(sym.address, 4)
         session.cpu.mem.faults = None
+        hits = notifications(session.mrs)
         assert session.run() == 0
         expected = oracle_hits(base.cpu.write_trace, [(sym.address, 4)])
-        got = [(a, s) for a, s, _r in session.mrs.hits]
+        got = [(a, s) for a, s, _r in hits]
         assert got == expected
 
     def test_optimized_pre_monitor_retry_stays_sound(self):
@@ -231,9 +228,10 @@ class TestRecovery:
         session.mrs.pre_monitor("g")
         session.mrs.create_region(sym.address, 4)
         session.cpu.mem.faults = None
+        hits = notifications(session.mrs)
         assert session.run() == 0
         expected = oracle_hits(base.cpu.write_trace, [(sym.address, 4)])
-        got = [(a, s) for a, s, _r in session.mrs.hits]
+        got = [(a, s) for a, s, _r in hits]
         assert got == expected
 
     def test_injected_fault_carries_context_and_is_logged(self):
@@ -330,8 +328,9 @@ def test_any_schedule_leaves_state_atomic_and_sound(seed, rate, ops):
             assert _fingerprint(session) == before
     # soundness of whatever survived: disarm injection and run
     session.cpu.mem.faults = None
+    hits = notifications(session.mrs)
     assert session.run() == 0
     regions = [region.key() for region in live.values()]
     expected = oracle_hits(base.cpu.write_trace, regions)
-    got = [(a, s) for a, s, _r in session.mrs.hits]
+    got = [(a, s) for a, s, _r in hits]
     assert got == expected

@@ -4,7 +4,7 @@ eliminated when no region is monitored."""
 
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import oracle_hits
+from helpers import notifications, oracle_hits
 from repro.minic.codegen import compile_source
 from repro.optimizer.pipeline import build_plan
 from repro.session import DebugSession, run_uninstrumented
@@ -68,11 +68,12 @@ def test_randomized_affine_loops_stay_sound(lo, span, stride, coef,
     session.mrs.pre_monitor("a")
     for start, rsize in regions:
         session.mrs.create_region(start, rsize)
+    hits = notifications(session.mrs)
     assert session.run() == 0
     assert session.output == base.output
 
     expected = oracle_hits(base.cpu.write_trace, regions)
-    got = [(addr, s) for addr, s, _r in session.mrs.hits]
+    got = [(addr, s) for addr, s, _r in hits]
     assert got == expected
 
 

@@ -568,6 +568,17 @@ class TestDivergenceDetection:
         assert excinfo.value.context["index"] == keyframe.index
         assert excinfo.value.expected["pc"] == excinfo.value.observed["pc"]
 
+    def test_monitor_register_divergence_raises_on_landing(self):
+        """One flipped bit in %m0, an MRS segment cache, in a keyframe's
+        checkpoint: the state digest covers the monitor registers."""
+        debugger, recorder, _w = record_run(stride=100)
+        assert len(recorder.keyframes) > 2
+        keyframe = recorder.keyframes[1]
+        keyframe.checkpoint[0].monitors[0] ^= 1
+        with pytest.raises(DivergenceError) as excinfo:
+            ReplayController(debugger, recorder).travel_to(keyframe.index)
+        assert excinfo.value.context["index"] == keyframe.index
+
     def test_divergence_error_carries_expected_and_observed(self):
         error = DivergenceError("drift", expected_pc=1, observed_pc=2,
                                 index=7)

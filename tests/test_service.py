@@ -177,6 +177,17 @@ class TestPreMonitor:
         session.mrs._deactivate(info.site, "symbol")
         assert session.cpu.code.at(info.addr) is original
 
+    def test_reinstall_puts_back_the_same_patch_object(self):
+        # compiled blocks revalidate by slot identity, so a replayed
+        # re-install must not look like changed code
+        session, plan = self._optimized_session()
+        info = next(iter(session.mrs.inst.patchable.values()))
+        session.mrs._activate(info.site, "symbol")
+        patch = session.cpu.code.at(info.addr)
+        session.mrs._deactivate(info.site, "symbol")
+        session.mrs._activate(info.site, "symbol")
+        assert session.cpu.code.at(info.addr) is patch
+
 
 class TestIdempotency:
     """Delete/disable misuse gets clear errors or no-ops, never

@@ -7,7 +7,8 @@ with dynamic patch re-insertion."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ALL_STRATEGIES, check_soundness, oracle_hits
+from helpers import (ALL_STRATEGIES, check_soundness, notifications,
+                     oracle_hits)
 from repro.minic.codegen import compile_source
 from repro.optimizer.pipeline import build_plan
 from repro.session import DebugSession, run_uninstrumented
@@ -106,12 +107,13 @@ class TestOptimizedSoundness:
             entry = symtab.lookup(name)
             session.mrs.pre_monitor(name)
             session.mrs.create_region(entry.address, entry.size)
+        hits = notifications(session.mrs)
         assert session.run() == 0
         assert session.output == base.output
         regions = [(symtab.lookup(n).address, symtab.lookup(n).size)
                    for n in ("accum", "table")]
         expected = oracle_hits(base.cpu.write_trace, regions)
-        got = [(a, s) for a, s, _r in session.mrs.hits]
+        got = [(a, s) for a, s, _r in hits]
         assert got == expected
 
     def test_range_elimination_heap_region(self):
@@ -124,9 +126,10 @@ class TestOptimizedSoundness:
         heap_base = session.cpu.mem.brk
         session.mrs.enable()
         session.mrs.create_region(heap_base, 32)
+        hits = notifications(session.mrs)
         assert session.run() == 0
         expected = oracle_hits(base.cpu.write_trace, [(heap_base, 32)])
-        got = [(a, s) for a, s, _r in session.mrs.hits]
+        got = [(a, s) for a, s, _r in hits]
         assert got == expected
         assert len(got) == 8
 
@@ -180,9 +183,10 @@ def test_random_regions_match_oracle(word_offsets, strategy):
     session.mrs.enable()
     for start, size in regions:
         session.mrs.create_region(start, size)
+    hits = notifications(session.mrs)
     assert session.run() == 0
     expected = oracle_hits(base.cpu.write_trace, regions)
-    got = [(a, s) for a, s, _r in session.mrs.hits]
+    got = [(a, s) for a, s, _r in hits]
     assert got == expected
 
 
@@ -207,10 +211,11 @@ def test_differential_modes_agree_on_monitor_hits(mode, symbols):
         session.mrs.pre_monitor(name)
         session.mrs.create_region(entry.address, entry.size)
         regions.append((entry.address, entry.size))
+    hits = notifications(session.mrs)
     assert session.run() == 0
     assert session.output == base.output
     expected = oracle_hits(base.cpu.write_trace, regions)
-    got = [(a, s) for a, s, _r in session.mrs.hits]
+    got = [(a, s) for a, s, _r in hits]
     assert got == expected
 
 
@@ -274,10 +279,11 @@ def test_adversarial_aliasing_stays_sound_under_ipa(source_index):
         session.mrs.pre_monitor(entry.name)
         session.mrs.create_region(entry.address, entry.size)
         regions.append((entry.address, entry.size))
+    hits = notifications(session.mrs)
     assert session.run() == 0
     assert session.output == base.output
     expected = oracle_hits(base.cpu.write_trace, regions)
-    got = [(a, s) for a, s, _r in session.mrs.hits]
+    got = [(a, s) for a, s, _r in hits]
     assert got == expected
 
 
@@ -298,7 +304,8 @@ def test_random_regions_with_full_optimization(lo, span):
     session.mrs.pre_monitor("table")
     for start, rsize in regions:
         session.mrs.create_region(start, rsize)
+    hits = notifications(session.mrs)
     assert session.run() == 0
     expected = oracle_hits(base.cpu.write_trace, regions)
-    got = [(a, s) for a, s, _r in session.mrs.hits]
+    got = [(a, s) for a, s, _r in hits]
     assert got == expected

@@ -8,6 +8,8 @@ from repro.minic.codegen import compile_source
 from repro.optimizer.pipeline import build_plan
 from repro.session import DebugSession, run_uninstrumented
 
+from helpers import notifications
+
 CALLS = """
 int helper(int x) {
     int local;
@@ -116,9 +118,10 @@ class TestReadMonitoring:
         sym = session.symbol("shared")
         session.mrs.enable()
         session.mrs.create_region(sym.address, 16)
+        hits = notifications(session.mrs)
         session.run()
         kinds = [(addr - sym.address, is_read)
-                 for addr, _size, is_read in session.mrs.hits]
+                 for addr, _size, is_read in hits]
         assert kinds == [(4, False), (4, True), (8, True), (12, False)]
 
     def test_reads_not_monitored_by_default(self):
@@ -126,8 +129,9 @@ class TestReadMonitoring:
         sym = session.symbol("shared")
         session.mrs.enable()
         session.mrs.create_region(sym.address, 16)
+        hits = notifications(session.mrs)
         session.run()
-        assert all(not is_read for _a, _s, is_read in session.mrs.hits)
+        assert all(not is_read for _a, _s, is_read in hits)
         assert session.mrs.hit_count() == 2
 
     @pytest.mark.parametrize("strategy", ["Bitmap",
@@ -139,9 +143,10 @@ class TestReadMonitoring:
         sym = session.symbol("shared")
         session.mrs.enable()
         session.mrs.create_region(sym.address + 4, 4)
+        hits = notifications(session.mrs)
         session.run()
-        reads = [h for h in session.mrs.hits if h[2]]
-        writes = [h for h in session.mrs.hits if not h[2]]
+        reads = [h for h in hits if h[2]]
+        writes = [h for h in hits if not h[2]]
         assert len(reads) == 1 and len(writes) == 1
 
     def test_read_of_clobbering_load_base(self):
@@ -171,8 +176,9 @@ G_cell: .word 0
         sym = session.program.symtab.lookup("cell")
         session.mrs.enable()
         session.mrs.create_region(sym.address, 4)
+        hits = notifications(session.mrs)
         assert session.run() == 9
-        assert [h[2] for h in session.mrs.hits] == [False, True]
+        assert [h[2] for h in hits] == [False, True]
 
 
 class TestMonitorLibraryIsolation:
@@ -224,8 +230,9 @@ G_pair: .skip 16
         sym = session.program.symtab.lookup("pair")
         session.mrs.enable()
         session.mrs.create_region(sym.address + offset, 4)
+        hits = notifications(session.mrs)
         assert session.run() == 9
         assert session.mrs.hit_count() == expected
         if expected:
-            addr, size, is_read = session.mrs.hits[0]
+            addr, size, is_read = hits[0]
             assert size == 8
