@@ -28,11 +28,18 @@ costs about 1 ms per block.  Yet blocks differ mostly in their
 integers, so the builder writes each per-block integer — pcs, I-cache
 line indices and tags, register numbers, immediates, retire counts,
 site ids — into a numbered constant slot instead of the text.  What is
-left, the block's *shape*, keys :func:`_code`, a process-wide table of
-code objects bounded at :data:`CODE_TABLE_SIZE` shapes, and
+left, the block's *shape*, keys :func:`_code`, one process-wide table
+of code objects keyed by a sha256 digest of the shape, and
 :func:`compile_block` gives each block a copy of its shape's code
 object with the block's constants patched into the slots
-(copy-and-patch compilation, Xu & Kjolstad, OOPSLA 2021).  A shape
+(copy-and-patch compilation, Xu & Kjolstad, OOPSLA 2021).  The table's
+bound, :data:`CODE_TABLE_SIZE`, sits above the shapes any measured
+process holds: a process requests its shapes in the same order pass
+after pass, and a least-recently-used table smaller than that cycle
+misses on nearly every request (the old 512-entry table recompiled 545
+of the travel pool's 632 shapes on a second pass, and ``compile()``
+was 80% of block-build time over three passes).
+:func:`code_table_stats` reads the table's counts.  A shape
 that cannot be patched is not compiled another way: its blocks are
 refused, and the slow loop runs them.  Each cache builds its own
 blocks, so its handlers and counters stay its own, and a kept block
@@ -72,8 +79,9 @@ from __future__ import annotations
 
 import builtins
 import dis
-import functools
+import hashlib
 import operator
+import threading
 from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -85,7 +93,8 @@ from repro.isa.instructions import (ALU_OPS, ArithInsn, BranchInsn,
                                     alu_icc, to_signed)
 from repro.machine.memory import MemoryFault
 
-__all__ = ["BasicBlock", "BlockCache", "compile_block", "MAX_TRACE"]
+__all__ = ["BasicBlock", "BlockCache", "compile_block", "code_table_stats",
+           "MAX_TRACE"]
 
 _M = 4294967295          # WORD_MASK
 _LINE_SHIFT = 5
@@ -884,10 +893,26 @@ def _handler(body: str, frame: tuple) -> str:
             + "\n    " + "\n    ".join(tail) + "\n")
 
 
-#: shapes whose compiled code objects the process keeps.  An entry is
-#: the shape's body text (about 2.5 KB) and its code object with its
-#: tables (about 7 KB).
-CODE_TABLE_SIZE = 512
+#: shapes whose code objects the process keeps, sized on the traffic.
+#: At perfbench seeds 1-5 a paper-tables bench process holds 1,144-1,222
+#: shapes, a time-travel one 879-924 and the debug-sessions server 287;
+#: tier-1's ``measure(0.15)`` holds 1,767.  Processes repeat their
+#: shapes in the same order (the seven travel-pool recordings request
+#: 632 on every pass), the worst case of a least-recently-used table
+#: smaller than that: the old 512-shape bound compiled 545 of the 632
+#: again on a second pass.  An entry, the code object with its tables,
+#: its slot order and a 32-byte key, is about 8.8 KB (13.0 KB with the
+#: body text as the key), so a full table holds about 18 MB.
+CODE_TABLE_SIZE = 2048
+
+#: sha256 of a shape -> :func:`_code`'s result for it, least recently
+#: used first.  One table per process: every CPU and every server
+#: worker thread shares it, and :data:`_table_lock` guards it.
+_table: Dict[bytes, Optional[tuple]] = {}
+_table_lock = threading.Lock()
+#: :func:`_code` calls, and the ``compile()`` calls they made
+_lookups = 0
+_compiles = 0
 
 _LOADS_CONST = frozenset(dis.hasconst)
 _EXTENDED_ARG = dis.opmap["EXTENDED_ARG"]
@@ -912,7 +937,6 @@ def _loaded(code: CodeType) -> set:
     return loaded
 
 
-@functools.lru_cache(maxsize=CODE_TABLE_SIZE)
 def _code(body: str, frame: tuple, slots: int):
     """The handler code object of the shape (*body*, *frame*), which
     has *slots* constant slots, shared by every CPU in the process:
@@ -921,7 +945,33 @@ def _code(body: str, frame: tuple, slots: int):
     vector.  None when the compiled constants do not map one to one
     onto the slots (Python folded a slot into another constant, or left
     one unloaded): blocks of this shape are refused, and the slow loop
-    runs their code."""
+    runs their code.
+
+    The table is keyed by a digest of the shape: the slot count, the
+    frame in a canonical order (its set has none) and the body.  A miss
+    compiles under the lock, so threads that miss the same shape at
+    once compile it once.  A full table drops its least recently used
+    shape."""
+    global _lookups, _compiles
+    use, flags_written = frame
+    key = hashlib.sha256(("%d %d %s\n" % (slots, flags_written,
+                                          " ".join(sorted(use)))
+                          + body).encode()).digest()
+    with _table_lock:
+        _lookups += 1
+        try:
+            stencil = _table.pop(key)
+        except KeyError:
+            _compiles += 1
+            stencil = _stencil(body, frame, slots)
+            if len(_table) >= CODE_TABLE_SIZE:
+                del _table[next(iter(_table))]
+        _table[key] = stencil
+    return stencil
+
+
+def _stencil(body: str, frame: tuple, slots: int):
+    """Compile the shape (*body*, *frame*) into :func:`_code`'s result."""
     module = compile(_handler(body, frame), "<block>", "exec")
     code = next(const for const in module.co_consts
                 if type(const) is CodeType)
@@ -937,6 +987,15 @@ def _code(body: str, frame: tuple, slots: int):
         order[index] = len(consts) + slot
         shared[index] = None     # every block patches it
     return code.replace(co_consts=tuple(shared)), tuple(order)
+
+
+def code_table_stats() -> Dict[str, int]:
+    """The shape table's process-wide counts: ``shapes`` held now, and
+    since the process started the ``compiles`` of a shape and the
+    ``lookups`` of one (every block build makes one, hit or miss)."""
+    with _table_lock:
+        return {"shapes": len(_table), "compiles": _compiles,
+                "lookups": _lookups}
 
 
 def compile_block(cpu, entry: int, cache: "BlockCache"

@@ -350,7 +350,11 @@ class CPU:
         return self._blocks
 
     def fast_stats(self) -> Dict[str, int]:
-        """Fast-path telemetry: cached blocks, decodes, runs, retires."""
+        """This CPU's fast-path counters (:meth:`BlockCache.stats`):
+        ``cached_blocks``, ``decodes``, ``revalidated``,
+        ``invalidations``, ``fallbacks``, ``block_runs`` and
+        ``fast_retired``.  The shape table all CPUs share counts in
+        :func:`repro.machine.blocks.code_table_stats`."""
         return self.block_cache().stats()
 
     def stop(self, exit_code: int = 0) -> None:

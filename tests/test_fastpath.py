@@ -11,6 +11,9 @@ a regression that silently de-opts everything (trivially "equal")
 fails.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -215,11 +218,12 @@ class TestSharedCode:
         first = load_program(assemble(asm))
         first.run()
         before = first.cpu.fast_stats()
-        misses = blocks._code.cache_info().misses
+        table = blocks.code_table_stats()
         second = load_program(assemble(asm))
         second.run()
         # every shape the second CPU needs, the first compiled
-        assert blocks._code.cache_info().misses == misses
+        assert blocks.code_table_stats()["compiles"] == table["compiles"]
+        assert blocks.code_table_stats()["lookups"] > table["lookups"]
         # each CPU's blocks count into its own cache
         assert first.cpu.fast_stats() == before
         ones = first.cpu.block_cache().blocks
@@ -232,7 +236,7 @@ class TestSharedCode:
                 twos[pc].fn.__code__.co_code
             assert ones[pc].fn is not twos[pc].fn
 
-    def test_one_shape_at_two_pcs_compiles_once(self):
+    def test_one_shape_at_two_pcs_compiles_once(self, monkeypatch):
         # one loop body assembled twice with different immediates, each
         # copy at the same offset in its 32-byte cache line
         program = assemble(TWO_LOOPS)
@@ -240,9 +244,11 @@ class TestSharedCode:
         assert heads[0] % 32 == heads[1] % 32
         loaded = load_program(program)
         cache = loaded.cpu.block_cache()
-        blocks._code.cache_clear()     # count this test's compiles only
+        monkeypatch.setattr(blocks, "_table", {})   # this test's shapes
+        compiles = blocks.code_table_stats()["compiles"]
         one, two = (cache.lookup(head) for head in heads)
-        assert blocks._code.cache_info().misses == 1
+        assert blocks.code_table_stats()["compiles"] == compiles + 1
+        assert blocks.code_table_stats()["shapes"] == 1
         assert one.fn.__code__.co_code == two.fn.__code__.co_code
         assert one.fn.__code__.co_consts != two.fn.__code__.co_consts
         states = []
@@ -253,6 +259,122 @@ class TestSharedCode:
         assert cache.blocks[heads[0]] is one
         assert cache.blocks[heads[1]] is two
         assert loaded.cpu.fast_stats()["fallbacks"] == 0
+
+
+def small_shapes(count, start=0):
+    """*count* distinct one-slot shapes, numbered from *start*."""
+    frame = (frozenset(), False)
+    return [("x%d = cpu + %d" % (number, blocks._SLOT), frame, 1)
+            for number in range(start, start + count)]
+
+
+class TestShapeTable:
+    """The process-wide shape table behind :func:`blocks._code`: keyed
+    by a digest of the shape, bounded at ``CODE_TABLE_SIZE``, shared by
+    every thread.  Each test swaps in an empty table of its own."""
+
+    def test_repeated_traffic_compiles_each_shape_once(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_table", {})
+        # more shapes than the old 512-entry LRU held, requested twice
+        # in the same order: its worst case, which compiled them all
+        # again on the second pass
+        shapes = small_shapes(600)
+        before = blocks.code_table_stats()
+        for _ in range(2):
+            for shape in shapes:
+                assert blocks._code(*shape) is not None
+        after = blocks.code_table_stats()
+        assert after["compiles"] - before["compiles"] == 600
+        assert after["lookups"] - before["lookups"] == 1200
+        assert after["shapes"] == 600
+
+        # filled past its bound, the table holds exactly its bound and
+        # drops the least recently used shapes: shapes[0], requested
+        # again first, stays and shapes[1] goes
+        blocks._code(*shapes[0])
+        more = small_shapes(blocks.CODE_TABLE_SIZE - 1, start=600)
+        for shape in more:
+            blocks._code(*shape)
+        full = blocks.code_table_stats()
+        assert full["shapes"] == blocks.CODE_TABLE_SIZE
+        assert full["compiles"] - after["compiles"] == len(more)
+        for shape in (shapes[0], more[-1]):
+            blocks._code(*shape)
+        assert blocks.code_table_stats()["compiles"] == full["compiles"]
+        blocks._code(*shapes[1])
+        assert blocks.code_table_stats()["compiles"] == full["compiles"] + 1
+        assert blocks.code_table_stats()["shapes"] == blocks.CODE_TABLE_SIZE
+
+    def test_key_is_the_whole_shape(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_table", {})
+        body = "x = cpu + %d" % blocks._SLOT
+        # a frame's set has no order: equal sets are one shape
+        use = ["g", "win", "mon", "mem", "ld", "st", "flags", "regs"]
+        compiles = blocks.code_table_stats()["compiles"]
+        for order in (use, use[::-1], sorted(use)):
+            assert blocks._code(body, (frozenset(order), False), 1)
+        assert blocks.code_table_stats()["compiles"] == compiles + 1
+        # the flags half of the frame, the slot count and the body each
+        # make another shape; one that cannot be patched is kept too
+        assert blocks._code(body, (frozenset(use), True), 1)
+        assert blocks._code(body, (frozenset(use), False), 2) is None
+        assert blocks._code(body, (frozenset(use), False), 2) is None
+        assert blocks._code(body + "\n        x = 0",
+                            (frozenset(use), False), 1)
+        assert blocks.code_table_stats()["shapes"] == 4
+        assert blocks.code_table_stats()["compiles"] == compiles + 4
+
+    def test_worker_threads_share_the_table(self, monkeypatch):
+        names = ["023.eqntott", "008.espresso", "001.gcc1.35", "022.li",
+                 "030.matrix300", "020.nasker"]
+        programs = {name: assemble(compile_source(
+            workload_source(name, 0.1), lang=WORKLOADS[name].lang))
+            for name in names}
+
+        def run(name, fast):
+            loaded = load_program(programs[name], fast_path=fast)
+            code = loaded.run()
+            return code, loaded.output, cpu_state(loaded.cpu)
+
+        expected = {name: run(name, False) for name in names}
+        # the shapes the six programs need, counted on one thread
+        monkeypatch.setattr(blocks, "_table", {})
+        for name in names:
+            run(name, True)
+        shapes = blocks.code_table_stats()["shapes"]
+
+        start = threading.Barrier(len(names))
+        results, errors = {}, []
+
+        def worker(name):
+            try:
+                start.wait()
+                results[name] = run(name, True)
+            except BaseException as error:   # reported below
+                errors.append((name, error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)          # switch threads often
+        try:
+            for _round in range(3):          # each into an empty table
+                monkeypatch.setattr(blocks, "_table", {})
+                before = blocks.code_table_stats()
+                results.clear()
+                threads = [threading.Thread(target=worker, args=(name,))
+                           for name in names]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert errors == []
+                assert results == expected
+                after = blocks.code_table_stats()
+                assert after["shapes"] == shapes
+                # threads that missed one shape at once compiled it once
+                assert after["compiles"] - before["compiles"] == shapes
+                assert after["lookups"] - before["lookups"] > shapes
+        finally:
+            sys.setswitchinterval(interval)
 
 
 #: a loop whose blocks read each kind of slot the decoder reads: the
