@@ -34,14 +34,10 @@ of code objects keyed by a sha256 digest of the shape, and
 object with the block's constants patched into the slots
 (copy-and-patch compilation, Xu & Kjolstad, OOPSLA 2021).  The table's
 bound, :data:`CODE_TABLE_SIZE`, sits above the shapes any measured
-process holds: a process requests its shapes in the same order pass
-after pass, and a least-recently-used table smaller than that cycle
-misses on nearly every request (the old 512-entry table recompiled 545
-of the travel pool's 632 shapes on a second pass, and ``compile()``
-was 80% of block-build time over three passes).
-:func:`code_table_stats` reads the table's counts.  A shape
-that cannot be patched is not compiled another way: its blocks are
-refused, and the slow loop runs them.  Each cache builds its own
+process holds, because a process requests its shapes in the same order
+pass after pass.  :func:`code_table_stats` reads the table's counts.
+A shape that cannot be patched is not compiled another way: its blocks
+are refused, and the slow loop runs them.  Each cache builds its own
 blocks, so its handlers and counters stay its own, and a kept block
 keeps its code object, which Python has already specialized.
 
@@ -893,16 +889,13 @@ def _handler(body: str, frame: tuple) -> str:
             + "\n    " + "\n    ".join(tail) + "\n")
 
 
-#: shapes whose code objects the process keeps, sized on the traffic.
-#: At perfbench seeds 1-5 a paper-tables bench process holds 1,144-1,222
-#: shapes, a time-travel one 879-924 and the debug-sessions server 287;
-#: tier-1's ``measure(0.15)`` holds 1,767.  Processes repeat their
-#: shapes in the same order (the seven travel-pool recordings request
-#: 632 on every pass), the worst case of a least-recently-used table
-#: smaller than that: the old 512-shape bound compiled 545 of the 632
-#: again on a second pass.  An entry, the code object with its tables,
-#: its slot order and a 32-byte key, is about 8.8 KB (13.0 KB with the
-#: body text as the key), so a full table holds about 18 MB.
+#: shapes whose code objects the process keeps.  A process requests
+#: its shapes in the same order pass after pass, and a least-recently-
+#: used table smaller than that cycle misses on nearly every request,
+#: so the bound sits above the shapes of the largest measured process:
+#: at perfbench seeds 7-16 a paper-tables bench process holds
+#: 1,095-1,208, a time-travel or debug-sessions one 879-924 and the
+#: debug-sessions server 287.  An entry is about 8.8 KB.
 CODE_TABLE_SIZE = 2048
 
 #: sha256 of a shape -> :func:`_code`'s result for it, least recently
@@ -913,6 +906,12 @@ _table_lock = threading.Lock()
 #: :func:`_code` calls, and the ``compile()`` calls they made
 _lookups = 0
 _compiles = 0
+_MISSING = object()
+#: hashlib lets the GIL go while it hashes 2 KB or more at once, and a
+#: thread that lets it go in the middle of a block build waits out
+#: another thread's switch interval to get it back, so a shape is
+#: hashed in pieces below that
+_HASH_PIECE = 1024
 
 _LOADS_CONST = frozenset(dis.hasconst)
 _EXTENDED_ARG = dis.opmap["EXTENDED_ARG"]
@@ -949,24 +948,29 @@ def _code(body: str, frame: tuple, slots: int):
 
     The table is keyed by a digest of the shape: the slot count, the
     frame in a canonical order (its set has none) and the body.  A miss
-    compiles under the lock, so threads that miss the same shape at
-    once compile it once.  A full table drops its least recently used
-    shape."""
+    compiles outside the lock, so two threads that miss one shape at
+    once may both compile it; the first to store it wins.  A full table
+    drops its least recently used shape."""
     global _lookups, _compiles
     use, flags_written = frame
-    key = hashlib.sha256(("%d %d %s\n" % (slots, flags_written,
-                                          " ".join(sorted(use)))
-                          + body).encode()).digest()
+    text = ("%d %d %s\n" % (slots, flags_written, " ".join(sorted(use)))
+            + body).encode()
+    digest = hashlib.sha256()
+    for at in range(0, len(text), _HASH_PIECE):
+        digest.update(text[at:at + _HASH_PIECE])
+    key = digest.digest()
     with _table_lock:
         _lookups += 1
-        try:
-            stencil = _table.pop(key)
-        except KeyError:
-            _compiles += 1
-            stencil = _stencil(body, frame, slots)
-            if len(_table) >= CODE_TABLE_SIZE:
-                del _table[next(iter(_table))]
-        _table[key] = stencil
+        stencil = _table.pop(key, _MISSING)
+        if stencil is not _MISSING:
+            _table[key] = stencil
+            return stencil
+    stencil = _stencil(body, frame, slots)
+    with _table_lock:
+        _compiles += 1
+        stencil = _table.setdefault(key, stencil)
+        if len(_table) > CODE_TABLE_SIZE:
+            del _table[next(iter(_table))]
     return stencil
 
 
