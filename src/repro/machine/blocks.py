@@ -893,14 +893,19 @@ def _handler(body: str, frame: tuple) -> str:
 #: its shapes in the same order pass after pass, and a least-recently-
 #: used table smaller than that cycle misses on nearly every request,
 #: so the bound sits above the shapes of the largest measured process:
-#: at perfbench seeds 7-16 a paper-tables bench process holds
-#: 1,095-1,208, a time-travel or debug-sessions one 879-924 and the
-#: debug-sessions server 287.  An entry is about 8.8 KB.
+#: at perfbench seeds 7-26 a paper-tables bench process holds
+#: 1,095-1,222, a time-travel or debug-sessions one 879-924 and the
+#: debug-sessions server 287.
 CODE_TABLE_SIZE = 2048
 
 #: sha256 of a shape -> :func:`_code`'s result for it, least recently
-#: used first.  One table per process: every CPU and every server
-#: worker thread shares it, and :data:`_table_lock` guards it.
+#: used first.  The key is a digest because the shape's text as the key
+#: makes an entry 13.0 KB instead of 8.8 KB: a table of this size keyed
+#: by the text (``functools.lru_cache``) raised paper-tables'
+#: ``peak_rss_mb`` 19.4% over a 512-shape one, past its 15% bound, and
+#: this one 8.6% (medians of 10 runs, seeds 17-26).  One table per
+#: process: every CPU and every server worker thread shares it, and
+#: :data:`_table_lock` guards it.
 _table: Dict[bytes, Optional[tuple]] = {}
 _table_lock = threading.Lock()
 #: :func:`_code` calls, and the ``compile()`` calls they made

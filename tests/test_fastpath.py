@@ -342,20 +342,23 @@ class TestShapeTable:
             return code, loaded.output, cpu_state(loaded.cpu)
 
         expected = {name: run(name, False) for name in names}
-        # the shapes the six programs need, counted on one thread
+        # the shapes the six programs need and the block builds they
+        # make, counted on one thread
         monkeypatch.setattr(blocks, "_table", {})
+        lookups = blocks.code_table_stats()["lookups"]
         for name in names:
             run(name, True)
         shapes = blocks.code_table_stats()["shapes"]
+        lookups = blocks.code_table_stats()["lookups"] - lookups
 
         start = threading.Barrier(len(names))
         results, errors = {}, []
 
         def worker(name):
             try:
-                start.wait()
+                start.wait(timeout=60)
                 results[name] = run(name, True)
-            except BaseException as error:   # reported below
+            except Exception as error:       # reported below
                 errors.append((name, error))
 
         interval = sys.getswitchinterval()
@@ -370,15 +373,16 @@ class TestShapeTable:
                 for thread in threads:
                     thread.start()
                 for thread in threads:
-                    thread.join()
+                    thread.join(timeout=300)
+                    assert not thread.is_alive()
                 assert errors == []
                 assert results == expected
-                # one entry per shape; threads that missed one shape at
-                # once may each have compiled it
+                # one entry per shape, no lookup lost; threads that
+                # missed one shape at once may each have compiled it
                 after = blocks.code_table_stats()
                 assert after["shapes"] == shapes
                 assert after["compiles"] - before["compiles"] >= shapes
-                assert after["lookups"] - before["lookups"] > shapes
+                assert after["lookups"] - before["lookups"] == lookups
         finally:
             sys.setswitchinterval(interval)
 
