@@ -48,8 +48,6 @@ class Program:
         self.text_base = text_base
         self.data_base = data_base
         self.insns: List[I.Instruction] = []
-        #: source statement giving rise to each instruction (for reporting)
-        self.insn_stmts: List[AsmInsn] = []
         self.labels: Dict[str, int] = {}
         #: data image: list of (word address, value)
         self.data_words: List[Tuple[int, int]] = []
@@ -208,7 +206,6 @@ class Assembler:
             insn.tag = stmt.tag
             insn.site = stmt.site
             program.insns.append(insn)
-            program.insn_stmts.append(stmt)
 
     def _encode_one(self, stmt: AsmInsn, program: Program) -> I.Instruction:
         m = stmt.mnemonic

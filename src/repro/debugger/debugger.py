@@ -25,6 +25,7 @@ from repro.errors import ReproError
 from repro.isa.instructions import to_signed
 from repro.core.regions import MonitoredRegion
 from repro.instrument.plan import OptimizationPlan
+from repro.instrument.rewriter import InstrumentResult
 from repro.isa import instructions as I
 from repro.isa.registers import FP
 from repro.machine.cpu import SimulationLimit
@@ -172,20 +173,38 @@ class Debugger:
                    optimize: Optional[str] = "full",
                    monitor_reads: bool = False,
                    faults=None) -> "Debugger":
-        """Compile, instrument and attach a debugger to mini-C source.
+        """Compile, instrument and attach a debugger to mini-C source:
+        :meth:`attach` of a new :meth:`build`.
 
         *optimize* is any :func:`~repro.optimizer.pipeline.build_plan`
         mode (``"sym"``, ``"full"``, ``"ipa"``) or None; *faults* arms
         the session's MRS and memory injection points.
         """
+        return cls.attach(cls.build(c_source, lang=lang, strategy=strategy,
+                                    optimize=optimize,
+                                    monitor_reads=monitor_reads),
+                          faults=faults)
+
+    @staticmethod
+    def build(c_source: str, lang: str = "C",
+              strategy: str = "BitmapInlineRegisters",
+              optimize: Optional[str] = "full",
+              monitor_reads: bool = False) -> InstrumentResult:
+        """Compile, plan, instrument and assemble mini-C source: the
+        half of :meth:`for_source` that depends only on the program,
+        shared by every debugger :meth:`attach` makes from it."""
         asm = compile_source(c_source, lang=lang)
         plan: Optional[OptimizationPlan] = None
         if optimize:
             _stmts, plan = build_plan(asm, mode=optimize)
-        session = DebugSession.from_asm(asm, strategy=strategy, plan=plan,
-                                        monitor_reads=monitor_reads,
-                                        faults=faults)
-        return cls(session)
+        return DebugSession.build(asm, strategy=strategy, plan=plan,
+                                  monitor_reads=monitor_reads)
+
+    @classmethod
+    def attach(cls, inst: InstrumentResult, faults=None) -> "Debugger":
+        """A debugger on a new machine loaded with the assembled
+        *inst*; *faults* arms its MRS and memory injection points."""
+        return cls(DebugSession.attach(inst, faults=faults))
 
     # -- name resolution -------------------------------------------------------
 

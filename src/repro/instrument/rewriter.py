@@ -57,7 +57,9 @@ class InstrumentResult:
     def __init__(self, statements: List[Statement],
                  sites: List[WriteSite], strategy: CheckStrategy,
                  plan: Optional[OptimizationPlan]):
-        self.statements = statements
+        #: the instrumented parse tree; :meth:`assemble` releases it,
+        #: so an assembled build holds none
+        self.statements: Optional[List[Statement]] = statements
         self.sites = sites
         self.strategy = strategy
         self.plan = plan if plan is not None else OptimizationPlan()
@@ -70,7 +72,8 @@ class InstrumentResult:
         return self.strategy.layout
 
     def assemble(self, **kwargs) -> Program:
-        """Assemble the instrumented statements and resolve site info."""
+        """Assemble the instrumented statements, resolve site info and
+        release the statements.  A build is assembled once."""
         program = assemble(self.statements, **kwargs)
         self.program = program
         site_addr: Dict[int, int] = {}
@@ -88,6 +91,7 @@ class InstrumentResult:
             self.patchable[site_id] = SiteRuntimeInfo(
                 site_id, site_addr[site_id], program.labels[patch_label],
                 site_insn[site_id])
+        self.statements = None
         return program
 
 

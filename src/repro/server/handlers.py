@@ -13,7 +13,9 @@ Commands
 ``initialize``
     Version negotiation + capability advertisement.
 ``launch``
-    Compile/instrument mini-C source into a fresh session; accepts a
+    Start a session on mini-C source, which the server compiles and
+    instruments once per program (the build table of
+    :func:`~repro.server.manager.build_debugger`); accepts a
     fault-plan spec so failure paths can be exercised server-side.
 ``dataBreakpointInfo`` / ``setDataBreakpoints``
     The DAP data-breakpoint pair: resolve a source name to a
@@ -58,6 +60,7 @@ from repro.errors import (PredicateCompileError, ProtocolError,
                           ReproError, ServerError)
 from repro.watchpoints.predicate import condition_to_expr
 from repro.faults import FaultPlan
+from repro.instrument.strategies import STRATEGIES
 from repro.isa.instructions import to_signed
 from repro.machine.cpu import SimulationLimit
 from repro.server.manager import (ManagedSession, SessionManager,
@@ -72,6 +75,9 @@ __all__ = ["ServerConfig", "RequestRouter", "fault_plan_from_spec",
 
 #: default per-request execution quota (simulated instructions)
 DEFAULT_QUOTA = 2_000_000
+
+#: the source languages ``launch`` takes, as the CLI's ``--lang`` does
+LANGS = ("C", "F")
 
 
 class ServerConfig:
@@ -149,16 +155,25 @@ def fault_plan_from_spec(spec: Dict[str, Any]) -> FaultPlan:
     execution budget: the per-request quota is the server's one
     budget.
     """
-    schedule = None
-    if spec.get("schedule"):
-        schedule = {point: (True if occurrences is True
-                            else set(occurrences))
-                    for point, occurrences in spec["schedule"].items()}
+    schedule = {}
+    for point, occurrences in _optional_arg(spec, "schedule", {}, dict,
+                                            "faults").items():
+        if occurrences is not True:
+            for occurrence in check_type(occurrences, list, point,
+                                         "faults schedule"):
+                check_type(occurrence, int, point, "faults schedule")
+            occurrences = set(occurrences)
+        schedule[point] = occurrences
+    points = _optional_arg(spec, "points", None, list, "faults")
+    for point in points or ():
+        check_type(point, str, "points", "faults")
     return FaultPlan(schedule=schedule,
-                     seed=spec.get("seed"),
-                     rate=spec.get("rate", 0.0),
-                     points=spec.get("points"),
-                     max_faults=spec.get("maxFaults"))
+                     seed=_optional_arg(spec, "seed", None, int, "faults"),
+                     rate=_optional_arg(spec, "rate", 0.0, (int, float),
+                                        "faults"),
+                     points=points,
+                     max_faults=_optional_arg(spec, "maxFaults", None, int,
+                                              "faults"))
 
 
 def invalid_condition(text: str, exc) -> ProtocolError:
@@ -192,10 +207,21 @@ def _require_arg(arguments: Dict[str, Any], name: str,
 
 
 def _optional_arg(arguments: Dict[str, Any], name: str, default: Any,
-                  kind: type) -> Any:
+                  kind, where: str = "argument") -> Any:
     value = arguments.get(name)
     return default if value is None else \
-        check_type(value, kind, name, "argument")
+        check_type(value, kind, name, where)
+
+
+def _choice_arg(arguments: Dict[str, Any], name: str, default: str,
+                choices) -> str:
+    """Optional string argument *name*, which must be one of
+    *choices*."""
+    value = _optional_arg(arguments, name, default, str)
+    if value not in choices:
+        raise ProtocolError("unknown %s %r" % (name, value), field=name,
+                            reason="value", supported=sorted(choices))
+    return value
 
 
 class RequestRouter:
@@ -264,13 +290,23 @@ class RequestRouter:
                 "capabilities": self.config.capabilities(version)}
 
     def _launch(self, arguments: Dict[str, Any], emit) -> Dict[str, Any]:
+        # every field is checked before the spec keys a shared build
         source = _require_arg(arguments, "source")
-        lang = arguments.get("lang", "C")
-        strategy = arguments.get("strategy", "BitmapInlineRegisters")
+        lang = _choice_arg(arguments, "lang", "C", LANGS)
+        strategy = _choice_arg(arguments, "strategy",
+                               "BitmapInlineRegisters", STRATEGIES)
+        # an explicit null builds without a plan, as "none" does
         optimize = arguments.get("optimize", "full")
-        monitor_reads = bool(arguments.get("monitorReads", False))
-        faults_spec = arguments.get("faults")
-        record_spec = arguments.get("record", False)
+        if optimize is not None:
+            check_type(optimize, str, "optimize", "argument")
+        monitor_reads = _optional_arg(arguments, "monitorReads", False, bool)
+        faults_spec = _optional_arg(arguments, "faults", None, dict)
+        faults = fault_plan_from_spec(faults_spec) if faults_spec else None
+        record_spec = _optional_arg(arguments, "record", False, (bool, dict))
+        options = record_spec if isinstance(record_spec, dict) else {}
+        for name in ("stride", "maxKeyframes", "maxTrace"):
+            _optional_arg(options, name, None, int, "record")
+        workload = _optional_arg(arguments, "workload", None, str)
         # the identity the debuggee is built from, here and on thaw;
         # kept even for fault-plan sessions so freeze can refuse them
         # with a reason instead of guessing
@@ -279,19 +315,14 @@ class RequestRouter:
             "optimize": optimize if optimize != "none" else None,
             "monitorReads": monitor_reads,
             "faults": bool(faults_spec)}
-        workload = arguments.get("workload")
         if workload:
             # names the run in the persistent trace store's analytics
             program["workload"] = workload
 
-        options = record_spec if isinstance(record_spec, dict) else {}
-
         def build() -> Debugger:
             # recording starts inside the factory, so a refused record
             # spec frees the session slot the manager reserved
-            debugger = build_debugger(
-                program, faults=fault_plan_from_spec(faults_spec)
-                if faults_spec else None)
+            debugger = build_debugger(program, faults=faults)
             if record_spec:
                 debugger.record(stride=options.get("stride"),
                                 max_keyframes=options.get("maxKeyframes"),

@@ -449,7 +449,10 @@ def rebuild_managed(frozen: FrozenSession):
 
     Returns the :class:`~repro.debugger.debugger.Debugger`; the server
     reads its dataIds off ``debugger.watchpoints``.  The program is
-    recompiled from its recorded identity, the payload decoded against
+    built from its recorded identity by
+    :func:`~repro.server.manager.build_debugger`, which serves the
+    launch's build while the server still holds it, the payload decoded
+    against
     the rebuilt program image, each watchpoint built by
     :meth:`~repro.debugger.debugger.Debugger.new_watchpoint` and bound
     to its region in the frozen MRS, the snapshot applied by

@@ -41,10 +41,11 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.debugger.debugger import Debugger
 from repro.errors import HibernationError, ServerError
+from repro.instrument.rewriter import InstrumentResult
 
 __all__ = ["ManagedSession", "SessionManager", "build_debugger"]
 
@@ -57,14 +58,48 @@ RETRY_AFTER_DRAINING = 1.0
 RETRY_AFTER_INITIALIZING = 0.05
 
 
+#: assembled builds the server keeps.  The benchmark's session loads
+#: launch 9 distinct programs, and a build of one holds 125-268 KB, so
+#: a full table holds at most about 4.2 MB.
+BUILD_TABLE_SIZE = 16
+
+#: program key -> its assembled :class:`InstrumentResult`, least
+#: recently used first; :data:`_builds_lock` guards it.  One table per
+#: server process, shared by every worker thread.
+_builds: Dict[Tuple[str, ...], InstrumentResult] = {}
+_builds_lock = threading.Lock()
+
+
 def build_debugger(program: Dict[str, Any], faults=None) -> Debugger:
-    """Compile a session's debuggee from its program spec.  ``launch``
-    and hibernation thaw both build through here, so a thawed session
-    is compiled exactly as it was launched."""
-    return Debugger.for_source(
-        program["source"], lang=program["lang"],
-        strategy=program["strategy"], optimize=program["optimize"],
-        monitor_reads=program["monitorReads"], faults=faults)
+    """A debugger on a session's debuggee, built from its program spec.
+    ``launch`` and hibernation thaw both build through here, so a
+    thawed session runs the build it was launched with.
+
+    Sessions of one program share its assembled build: the key is the
+    spec's source, lang, strategy, optimize and monitorReads, and a hit
+    only loads the build into a new machine.  The workload name and
+    *faults* are not in the key, since faults arm only the new MRS and
+    memory.  A miss builds outside the lock, so two workers that miss
+    one program at once both build it and the first to store it wins;
+    a build that raises is not stored.  A full table drops its least
+    recently used build."""
+    key = (program["source"], program["lang"], program["strategy"],
+           program["optimize"] or "none",
+           "reads" if program["monitorReads"] else "writes")
+    with _builds_lock:
+        inst = _builds.pop(key, None)
+        if inst is not None:
+            _builds[key] = inst
+    if inst is None:
+        inst = Debugger.build(
+            program["source"], lang=program["lang"],
+            strategy=program["strategy"], optimize=program["optimize"],
+            monitor_reads=program["monitorReads"])
+        with _builds_lock:
+            inst = _builds.setdefault(key, inst)
+            if len(_builds) > BUILD_TABLE_SIZE:
+                del _builds[next(iter(_builds))]
+    return Debugger.attach(inst, faults=faults)
 
 
 class ManagedSession:

@@ -3,9 +3,11 @@
 `DebugSession` wires the whole stack together: compile, instrument with
 a write-check strategy (and optionally a §4 optimization plan), assemble,
 load, and attach a :class:`~repro.core.service.MonitoredRegionService`.
-This is the main entry point for examples, tests and the evaluation
-harness.  A session is re-runnable: a fresh :meth:`DebugSession.run`
-rewinds to the entry state, which a
+The first three steps (:meth:`DebugSession.build`) depend only on the
+program, the last two (:meth:`DebugSession.attach`) make the running
+debuggee.  This is the main entry point for examples, tests and the
+evaluation harness.  A session is re-runnable: a fresh
+:meth:`DebugSession.run` rewinds to the entry state, which a
 :class:`~repro.debugger.debugger.Debugger` driving the session
 captures as its own snapshot, so the rewind restores its watch state
 with the machine.
@@ -61,6 +63,41 @@ class DebugSession:
             self._rewind = rewind
         self.started = True
 
+    @staticmethod
+    def build(asm_source: str, strategy="Bitmap",
+              layout: Optional[MonitorLayout] = None,
+              plan: Optional[OptimizationPlan] = None,
+              monitor_reads: bool = False) -> InstrumentResult:
+        """Instrument and assemble *asm_source*: the half of a session
+        that depends only on the program.  Nothing changes the result
+        afterwards (a session's patches, bitmap and segment table live
+        in its own machine), so one build can serve any number of
+        :meth:`attach` calls."""
+        inst = instrument_source(asm_source, strategy, layout, plan,
+                                 monitor_reads)
+        inst.assemble()
+        return inst
+
+    @classmethod
+    def attach(cls, inst: InstrumentResult,
+               costs: CostModel = DEFAULT_COSTS,
+               cache_bytes: int = DEFAULT_CACHE_BYTES,
+               record_writes: bool = False,
+               faults: Optional[FaultPlan] = None,
+               mrs_class=MonitoredRegionService) -> "DebugSession":
+        """Load an assembled *inst* into a new machine and attach an
+        MRS to it; *faults* arms that MRS and the machine's memory."""
+        loaded = load_program(inst.program, cache_bytes=cache_bytes,
+                              costs=costs, record_writes=record_writes)
+        if faults is not None:
+            mrs = mrs_class(loaded, inst, faults=faults)
+            # arm the memory.write injection point only after loading,
+            # so the data-image writes don't consume occurrences
+            loaded.cpu.mem.faults = faults
+        else:
+            mrs = mrs_class(loaded, inst)
+        return cls(inst, loaded, mrs)
+
     @classmethod
     def from_asm(cls, asm_source: str, strategy="Bitmap",
                  layout: Optional[MonitorLayout] = None,
@@ -71,19 +108,10 @@ class DebugSession:
                  monitor_reads: bool = False,
                  faults: Optional[FaultPlan] = None,
                  mrs_class=MonitoredRegionService) -> "DebugSession":
-        inst = instrument_source(asm_source, strategy, layout, plan,
-                                 monitor_reads)
-        program = inst.assemble()
-        loaded = load_program(program, cache_bytes=cache_bytes, costs=costs,
-                              record_writes=record_writes)
-        if faults is not None:
-            mrs = mrs_class(loaded, inst, faults=faults)
-            # arm the memory.write injection point only after loading,
-            # so the data-image writes don't consume occurrences
-            loaded.cpu.mem.faults = faults
-        else:
-            mrs = mrs_class(loaded, inst)
-        return cls(inst, loaded, mrs)
+        inst = cls.build(asm_source, strategy, layout, plan, monitor_reads)
+        return cls.attach(inst, costs=costs, cache_bytes=cache_bytes,
+                          record_writes=record_writes, faults=faults,
+                          mrs_class=mrs_class)
 
     @classmethod
     def from_minic(cls, c_source: str, lang: str = "C", **kwargs

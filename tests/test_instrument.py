@@ -205,6 +205,15 @@ main:
         assert "__mrs_check_w4" in program.labels
         assert "__mrs_miss_0_w4" in program.labels
 
+    def test_assembled_build_holds_no_parse_tree(self):
+        # the server shares assembled builds among sessions, so a build
+        # keeps only what a session reads
+        inst = instrument_source(self.SOURCE, "Bitmap")
+        assert inst.statements
+        program = inst.assemble()
+        assert inst.statements is None
+        assert not hasattr(program, "insn_stmts")
+
     def test_disabled_flag_skips_check_body(self):
         from repro.asm.loader import load_program
         from repro.core.service import MonitoredRegionService

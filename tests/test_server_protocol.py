@@ -259,3 +259,42 @@ class TestNegotiation:
         assert response.error["error"] == "ProtocolError"
         assert response.error["context"] == {"field": field,
                                              "reason": "type"}
+
+    @pytest.mark.parametrize("arguments,field,reason", [
+        ({"monitorReads": "no"}, "monitorReads", "type"),
+        ({"strategy": 7}, "strategy", "type"),
+        ({"strategy": "Nope"}, "strategy", "value"),
+        ({"lang": "C\nzz:\n\tnop"}, "lang", "value"),
+        ({"lang": ["C"]}, "lang", "type"),
+        ({"optimize": 3}, "optimize", "type"),
+        ({"record": "yes"}, "record", "type"),
+        ({"record": {"stride": "x"}}, "stride", "type"),
+        ({"record": {"maxTrace": 1.5}}, "maxTrace", "type"),
+        ({"faults": "x"}, "faults", "type"),
+        ({"faults": {"seed": "x"}}, "seed", "type"),
+        ({"faults": {"maxFaults": "3"}}, "maxFaults", "type"),
+        ({"faults": {"schedule": {SERVICE_CREATE: 3}}}, SERVICE_CREATE,
+         "type"),
+        ({"workload": 5}, "workload", "type"),
+    ])
+    def test_launch_spec_is_checked(self, arguments, field, reason):
+        # the spec keys the server's shared builds, so a mistyped or
+        # unknown field is refused before anything is built
+        response = self.dispatch(self.router(), "launch", dict(
+            arguments, source="int g;\nint main() { g = 1; return 0; }\n"))
+        assert not response.success
+        assert "internal" not in response.error
+        assert response.error["error"] == "ProtocolError"
+        context = response.error["context"]
+        assert (context["field"], context["reason"]) == (field, reason)
+        if reason == "value":
+            assert arguments[field] not in context["supported"]
+
+    @pytest.mark.parametrize("arguments", [
+        {"lang": "F"}, {"optimize": None}, {"optimize": "none"},
+        {"record": {"stride": 50}}, {"faults": {"seed": 3, "rate": 0}},
+    ])
+    def test_valid_launch_spec_is_accepted(self, arguments):
+        response = self.dispatch(self.router(), "launch", dict(
+            arguments, source="int g;\nint main() { g = 1; return 0; }\n"))
+        assert response.success, response.error
